@@ -45,10 +45,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def load_geometry(path: str) -> RobotGeometry:
     """Geometry from a JSON file with exactly the keys n, d, l."""
     try:
@@ -80,9 +76,13 @@ def load_geometry(path: str) -> RobotGeometry:
 
 
 def _read_table(path: str, expected_header: list[str]) -> list[list[float]]:
-    """Read a CSV table, enforcing the header and finite float cells."""
+    """Read a CSV table, enforcing the header and finite float cells.
+
+    A UTF-8 byte order mark is dropped.  Blank lines are skipped and not
+    counted: messages number the data rows from 1, as _map_rows does.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {exc}")
@@ -96,9 +96,8 @@ def _read_table(path: str, expected_header: list[str]) -> list[list[float]]:
             f"found {','.join(header)}",
         )
     rows: list[list[float]] = []
-    for ridx, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
+    data = [line for line in lines[1:] if line.strip()]
+    for ridx, line in enumerate(data, start=1):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise CliError(
@@ -127,85 +126,79 @@ def _write_table(path: str, header: list[str], rows) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot write {path}: {exc}")
 
 
-def _rho_header(n: int) -> list[str]:
-    return [f"rho_{i}" for i in range(1, n + 1)]
+def _joint_header(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}_{i}" for i in range(1, n + 1)]
 
 
-def _length_header(n: int) -> list[str]:
-    return [f"l_{i}" for i in range(1, n + 1)]
+_CLARKE = ["rho_re", "rho_im"]
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _map_rows(args: argparse.Namespace) -> int:
+    """Run a row command: map each row of --input to one row of --output.
+
+    args.plan(args, geometry) picks the input header, the output header and
+    the row function.  Nothing is written unless every row maps; a straight
+    configuration under avoid-straight exits 4 naming its data row.
+    """
     geometry = load_geometry(args.geometry)
-    if args.direction == "forward":
-        rows = _read_table(args.input, _rho_header(geometry.n))
-        out = [forward_transform(geometry, row) for row in rows]
-        _write_table(args.output, ["rho_re", "rho_im"], out)
-    else:
-        rows = _read_table(args.input, ["rho_re", "rho_im"])
-        out = [inverse_transform(geometry, row) for row in rows]
-        _write_table(args.output, _rho_header(geometry.n), out)
+    in_header, out_header, row_fn = args.plan(args, geometry)
+    out = []
+    for ridx, row in enumerate(_read_table(args.input, in_header), start=1):
+        try:
+            out.append(row_fn(row))
+        except StraightConfigurationError as exc:
+            raise CliError(EXIT_DOMAIN, f"row {ridx}: {exc}")
+    _write_table(args.output, out_header, out)
     return EXIT_OK
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    geometry = load_geometry(args.geometry)
+def _transform_plan(args: argparse.Namespace, geometry: RobotGeometry):
+    rho = _joint_header("rho", geometry.n)
+    if args.direction == "forward":
+        return rho, _CLARKE, lambda row: forward_transform(geometry, row)
+    return _CLARKE, rho, lambda row: inverse_transform(geometry, row)
+
+
+def _convert_plan(args: argparse.Namespace, geometry: RobotGeometry):
     scheme = None
     if args.scheme is not None:
         try:
             scheme = legacy.LegacyScheme.from_name(args.scheme)
+            legacy._check_scheme(scheme, geometry)
         except legacy.SchemeMismatchError as exc:
             raise CliError(EXIT_USAGE, str(exc))
     if args.source in ("clarke", "legacy") and scheme is None:
         raise CliError(EXIT_USAGE, f"--scheme is required with --from {args.source}")
-    try:
-        if args.source == "clarke":
-            rows = _read_table(args.input, ["rho_re", "rho_im"])
-            pairs = [legacy.legacy_from_clarke(scheme, geometry, row) for row in rows]
-            _write_table(args.output, list(scheme.pair_names), [(p.p1, p.p2) for p in pairs])
-        elif args.source == "legacy":
-            rows = _read_table(args.input, list(scheme.pair_names))
-            out = [legacy.clarke_from_legacy(scheme, geometry, row) for row in rows]
-            _write_table(args.output, ["rho_re", "rho_im"], out)
-        else:  # lengths
-            rows = _read_table(args.input, _length_header(geometry.n))
-            if scheme is None:
-                out = [legacy.clarke_from_lengths(geometry, row) for row in rows]
-                _write_table(args.output, ["rho_re", "rho_im"], out)
-            else:
-                pairs = [legacy.legacy_from_lengths(scheme, geometry, row) for row in rows]
-                _write_table(args.output, list(scheme.pair_names), [(p.p1, p.p2) for p in pairs])
-    except legacy.SchemeMismatchError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
-    return EXIT_OK
+    lengths = _joint_header("l", geometry.n)
+    if scheme is None:  # --from lengths
+        return lengths, _CLARKE, lambda row: legacy.clarke_from_lengths(geometry, row)
+    pair = list(scheme.pair_names)
+    if args.source == "legacy":
+        return pair, _CLARKE, lambda row: legacy.clarke_from_legacy(scheme, geometry, row)
+    # [1:] drops the scheme tag of the LegacyPair
+    if args.source == "clarke":
+        return _CLARKE, pair, lambda row: legacy.legacy_from_clarke(scheme, geometry, row)[1:]
+    return lengths, pair, lambda row: legacy.legacy_from_lengths(scheme, geometry, row)[1:]
 
 
-def _cmd_fk(args: argparse.Namespace) -> int:
-    geometry = load_geometry(args.geometry)
+def _fk_plan(args: argparse.Namespace, geometry: RobotGeometry):
     try:
         strategy = SingularityStrategy.from_name(args.strategy)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
-    try:
         config = RegularizationConfig.default(geometry, epsilon=args.epsilon)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
-    rows = _read_table(args.input, ["rho_re", "rho_im"])
-    out = []
-    for ridx, row in enumerate(rows, start=1):
-        try:
-            pose = forward_kinematics(geometry, row, strategy=strategy, config=config)
-        except StraightConfigurationError as exc:
-            raise CliError(EXIT_DOMAIN, f"row {ridx}: {exc}")
-        out.append([*pose.position, *pose.rotation.ravel()])
+
+    def pose_row(row):
+        pose = forward_kinematics(geometry, row, strategy=strategy, config=config)
+        return [*pose.position, *pose.rotation.ravel()]
+
     header = ["x", "y", "z"] + [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    _write_table(args.output, header, out)
-    return EXIT_OK
+    return _CLARKE, header, pose_row
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -214,7 +207,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         rows = joint_space.sample(geometry, args.phi_max, args.count, args.seed)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
-    _write_table(args.output, _rho_header(geometry.n), rows)
+    _write_table(args.output, _joint_header("rho", geometry.n), rows)
     return EXIT_OK
 
 
@@ -252,7 +245,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     membership_failures = 0
     if args.membership is not None:
-        rows = _read_table(args.membership, _rho_header(geometry.n))
+        rows = _read_table(args.membership, _joint_header("rho", geometry.n))
         inside = sum(
             joint_space.contains(geometry, row, tol=args.membership_tol) for row in rows
         )
@@ -290,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="input CSV")
     p.add_argument("--direction", required=True, choices=["forward", "inverse"])
     p.add_argument("--output", required=True, help="output CSV")
-    p.set_defaults(func=_cmd_transform)
+    p.set_defaults(func=_map_rows, plan=_transform_plan)
 
     p = sub.add_parser("convert", help="convert between Clarke, legacy pairs, and lengths")
     p.add_argument("--geometry", required=True)
@@ -304,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_convert)
+    p.set_defaults(func=_map_rows, plan=_convert_plan)
 
     p = sub.add_parser("fk", help="constant-curvature forward kinematics per row")
     p.add_argument("--geometry", required=True)
@@ -317,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--epsilon", type=float, default=None, help="near-zero threshold")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_fk)
+    p.set_defaults(func=_map_rows, plan=_fk_plan)
 
     p = sub.add_parser("sample", help="draw joint-space displacement samples")
     p.add_argument("--geometry", required=True)

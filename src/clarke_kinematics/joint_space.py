@@ -63,8 +63,8 @@ def sample(
     the (count, n) result is a valid joint-space vector.  Deterministic for
     a fixed seed.
     """
-    if not phi_max > 0.0:
-        raise ValueError(f"phi_max must be positive, got {phi_max}")
+    if not 0.0 < phi_max < np.inf:
+        raise ValueError(f"phi_max must be positive and finite, got {phi_max}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)

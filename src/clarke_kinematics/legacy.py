@@ -36,22 +36,21 @@ class SchemeMismatchError(ValueError):
 class LegacyScheme(enum.Enum):
     """Tag for one of the published two-parameter schemes."""
 
-    DIAN3 = "dian3"
-    DELLA_SANTINA4 = "dellasantina4"
-    ALLEN3 = "allen3"
-    ALLEN4 = "allen4"
+    # The one per-scheme table: value, n, pair_names, and the k of the map
+    # (p1, p2) = (-k*rho_im/d, k*rho_re/d), or None for (p1, p2) = (rho_re, rho_im).
+    DIAN3 = ("dian3", 3, ("delta_x", "delta_y"), None)
+    DELLA_SANTINA4 = ("dellasantina4", 4, ("delta_x", "delta_y"), None)
+    ALLEN3 = ("allen3", 3, ("u", "v"), 1.0)
+    ALLEN4 = ("allen4", 4, ("u", "v"), 2.0)
 
-    @property
-    def n(self) -> int:
-        """Joint count the scheme was published for."""
-        return 3 if self in (LegacyScheme.DIAN3, LegacyScheme.ALLEN3) else 4
+    n: int  # joint count the scheme was published for
+    pair_names: tuple[str, str]  # column/field names of the scheme's two parameters
 
-    @property
-    def pair_names(self) -> tuple[str, str]:
-        """Column/field names of the scheme's two parameters."""
-        if self in (LegacyScheme.DIAN3, LegacyScheme.DELLA_SANTINA4):
-            return ("delta_x", "delta_y")
-        return ("u", "v")
+    def __new__(cls, value: str, n: int, pair_names: tuple[str, str], k: float | None):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.n, member.pair_names, member._k = n, pair_names, k
+        return member
 
     @classmethod
     def from_name(cls, name: str) -> "LegacyScheme":
@@ -96,12 +95,11 @@ def legacy_from_clarke(
     """Convert Clarke coordinates to the scheme's parameter pair."""
     _check_scheme(scheme, geometry)
     re, im = (float(c) for c in np.asarray(clarke, dtype=float))
-    d = geometry.d
-    if scheme is LegacyScheme.DIAN3 or scheme is LegacyScheme.DELLA_SANTINA4:
+    k = scheme._k
+    if k is None:
         return LegacyPair(scheme, re, im)
-    if scheme is LegacyScheme.ALLEN3:
-        return LegacyPair(scheme, -im / d, re / d)
-    return LegacyPair(scheme, -2.0 * im / d, 2.0 * re / d)
+    d = geometry.d
+    return LegacyPair(scheme, -k * im / d, k * re / d)
 
 
 def clarke_from_legacy(
@@ -121,12 +119,11 @@ def clarke_from_legacy(
         p1, p2 = pair.p1, pair.p2
     else:
         p1, p2 = (float(p) for p in pair)
-    d = geometry.d
-    if scheme is LegacyScheme.DIAN3 or scheme is LegacyScheme.DELLA_SANTINA4:
+    k = scheme._k
+    if k is None:
         return ClarkeCoords(p1, p2)
-    if scheme is LegacyScheme.ALLEN3:
-        return ClarkeCoords(p2 * d, -p1 * d)
-    return ClarkeCoords(p2 * d / 2.0, -p1 * d / 2.0)
+    d = geometry.d
+    return ClarkeCoords(p2 * d / k, -p1 * d / k)
 
 
 def legacy_from_displacements(

@@ -81,6 +81,16 @@ class TestTransform:
         err = capsys.readouterr().err
         assert "row 1" in err and "rho_3" in err
 
+    def test_utf8_bom_header_accepted(self, tmp_path):
+        geom = write_geometry(tmp_path / "g.json")
+        path = tmp_path / "in.csv"
+        path.write_bytes("\ufeffrho_re,rho_im\n0.01,0\n".encode("utf-8"))
+        out = tmp_path / "o.csv"
+        assert main(["transform", "--geometry", geom, "--input", str(path),
+                     "--direction", "inverse", "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        np.testing.assert_allclose(rows, [[0.01, 0.0, -0.01, 0.0]], atol=1e-15)
+
     def test_non_finite_cell_exits_3(self, tmp_path):
         geom = write_geometry(tmp_path / "g.json")
         path = tmp_path / "in.csv"
@@ -164,6 +174,20 @@ class TestConvert:
                      "--from", "clarke", "--input", inp,
                      "--output", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("source, header", [
+        ("clarke", ["rho_re", "rho_im"]),
+        ("lengths", ["l_1", "l_2", "l_3"]),
+    ])
+    def test_scheme_geometry_mismatch_on_header_only_input_exits_2(
+        self, tmp_path, source, header
+    ):
+        geom = write_geometry(tmp_path / "g.json", n=3)
+        inp = write_csv(tmp_path / "in.csv", header, [])
+        out = tmp_path / "o.csv"
+        assert main(["convert", "--geometry", geom, "--scheme", "allen4",
+                     "--from", source, "--input", inp, "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_scheme_exits_2(self, tmp_path):
         geom = write_geometry(tmp_path / "g.json", n=4)
         inp = write_csv(tmp_path / "in.csv", ["rho_re", "rho_im"], [[0.0, 0.0]])
@@ -203,6 +227,16 @@ class TestFk:
                      "--strategy", "avoid-straight", "--output", str(tmp_path / "o.csv")])
         assert code == 4
         assert "row 2" in capsys.readouterr().err
+
+    def test_row_numbers_skip_blank_lines(self, tmp_path, capsys):
+        """Domain and parse errors both count data rows, not file lines."""
+        geom = write_geometry(tmp_path / "g.json")
+        path = tmp_path / "in.csv"
+        for third_line, code in (("0,0", 4), ("x,0", 3)):
+            path.write_text(f"rho_re,rho_im\n0.001,0\n\n{third_line}\n")
+            assert main(["fk", "--geometry", geom, "--input", str(path), "--strategy",
+                         "avoid-straight", "--output", str(tmp_path / "o.csv")]) == code
+            assert "row 2" in capsys.readouterr().err
 
     def test_unknown_strategy_exits_2(self, tmp_path):
         geom = write_geometry(tmp_path / "g.json")
@@ -249,6 +283,8 @@ class TestSample:
         assert main(["sample", "--geometry", geom, "--phi-max", "-1", "--count", "5",
                      "--seed", "1", "--output", str(tmp_path / "s.csv")]) == 2
         assert main(["sample", "--geometry", geom, "--phi-max", "1", "--count", "0",
+                     "--seed", "1", "--output", str(tmp_path / "s.csv")]) == 2
+        assert main(["sample", "--geometry", geom, "--phi-max", "inf", "--count", "5",
                      "--seed", "1", "--output", str(tmp_path / "s.csv")]) == 2
 
 

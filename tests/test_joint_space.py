@@ -139,5 +139,8 @@ class TestSample:
     def test_rejects_bad_arguments(self, geometry4):
         with pytest.raises(ValueError):
             sample(geometry4, 0.0, 10, seed=1)
+        for phi_max in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sample(geometry4, phi_max, 10, seed=1)
         with pytest.raises(ValueError):
             sample(geometry4, math.pi, 0, seed=1)

@@ -18,6 +18,7 @@ from clarke_kinematics import (
     regularized_magnitude,
     sample,
 )
+from clarke_kinematics import kinematics
 
 ALL_STRATEGIES = list(SingularityStrategy)
 
@@ -147,6 +148,29 @@ class TestRegularizedMagnitude:
             assert base == pytest.approx(clarke_norm, rel=1e-12)
             reg = regularized_magnitude(geometry4, rho, cfg)
             assert reg >= base
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12])
+    def test_adaptive_epsilon_within_4_ulp_of_rho_route(self, n, monkeypatch):
+        """forward_kinematics' rho^T rho = (n/2)|clarke|^2 against building rho."""
+        geometry = RobotGeometry(n=n, d=0.01, l=0.1)
+        cfg = RegularizationConfig.default(geometry)
+        rng = np.random.default_rng(n)
+        phi = np.concatenate(
+            [rng.uniform(0.0, math.pi, 500), 10.0 ** rng.uniform(-12.0, -4.0, 500), [0.0]]
+        )
+        theta = rng.uniform(-math.pi, math.pi, phi.size)
+        clarke = geometry.d * phi[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+        via_rho = [regularized_magnitude(geometry, inverse_transform(geometry, c), cfg)
+                   for c in clarke]
+        closed = []
+        norm = kinematics._regularized_norm
+        monkeypatch.setattr(kinematics, "_regularized_norm",
+                            lambda *args: closed.append(norm(*args)) or closed[-1])
+        for c in clarke:
+            forward_kinematics(geometry, c, SingularityStrategy.ADAPTIVE_EPSILON, cfg)
+        assert len(closed) == len(via_rho)
+        for got, want in zip(closed, via_rho):
+            assert abs(got - want) <= 4.0 * 2.0**-52 * want
 
     def test_mirrored_logistic_floor(self, geometry4):
         cfg = RegularizationConfig(epsilon=1e-6, a=0.0, b=1.0, decay="mirrored_logistic")
