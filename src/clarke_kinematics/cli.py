@@ -1,7 +1,8 @@
 """Batch CLI: CSV trajectory transforms, conversions, sampling, FK, self-check.
 
 Exit codes: 0 success, 1 identity failure, 2 usage or schema error, 3 cell
-parse error, 4 domain error (avoid-straight at a straight configuration).
+parse error, 4 domain error (a row whose result is not finite, or
+avoid-straight at a straight configuration).
 The identity tolerance of `check` can be overridden with the environment
 variable CLARKE_KIN_TOL.
 """
@@ -14,18 +15,20 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import identities, joint_space, legacy
 from .core import (
     GeometryError,
     RobotGeometry,
-    forward_transform,
-    inverse_transform,
+    forward_transform_rows,
+    inverse_transform_rows,
 )
 from .kinematics import (
     RegularizationConfig,
     SingularityStrategy,
     StraightConfigurationError,
-    forward_kinematics,
+    forward_kinematics_rows,
 )
 
 EXIT_OK = 0
@@ -75,11 +78,19 @@ def load_geometry(path: str) -> RobotGeometry:
         raise CliError(EXIT_USAGE, f"invalid geometry in {path}: {exc}")
 
 
-def _read_table(path: str, expected_header: list[str]) -> list[list[float]]:
-    """Read a CSV table, enforcing the header and finite float cells.
+# Rows per chunk when parsing and formatting tables: large enough that the
+# per-chunk overhead vanishes, small enough that a chunk's temporary strings
+# stay a few MB however long the file is.
+_CHUNK_ROWS = 4096
+
+
+def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
+    """Read a CSV table into an (N, k) array, enforcing the header and finite cells.
 
     A UTF-8 byte order mark is dropped.  Blank lines are skipped and not
-    counted: messages number the data rows from 1, as _map_rows does.
+    counted: messages number the data rows from 1, as _map_rows does.  Each
+    chunk of rows is parsed in one pass; a chunk that fails is parsed again
+    cell by cell, which names the first bad row and column.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -95,9 +106,32 @@ def _read_table(path: str, expected_header: list[str]) -> list[list[float]]:
             f"{path}: expected columns {','.join(expected_header)}, "
             f"found {','.join(header)}",
         )
-    rows: list[list[float]] = []
     data = [line for line in lines[1:] if line.strip()]
-    for ridx, line in enumerate(data, start=1):
+    k = len(header)
+    table = np.empty((len(data), k))
+    for start in range(0, len(data), _CHUNK_ROWS):
+        chunk = data[start : start + _CHUNK_ROWS]
+        block = table[start : start + len(chunk)]
+        try:
+            if any(line.count(",") != k - 1 for line in chunk):
+                raise ValueError("a row has the wrong number of cells")
+            cells = ",".join(chunk).split(",")
+            block[...] = np.fromiter(map(float, cells), float, block.size).reshape(block.shape)
+            if not np.isfinite(block).all():
+                raise ValueError("a cell is not finite")
+        except ValueError:
+            block[...] = _parse_rows(path, header, chunk, start)
+    return table
+
+
+def _parse_rows(path: str, header: list[str], lines: list[str], first: int) -> list[list[float]]:
+    """Parse data lines cell by cell; the first line is data row first + 1.
+
+    Raises the CliError that names the first row with the wrong cell count
+    or the first cell that is not a finite float.
+    """
+    rows: list[list[float]] = []
+    for ridx, line in enumerate(lines, start=first + 1):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise CliError(
@@ -121,12 +155,15 @@ def _read_table(path: str, expected_header: list[str]) -> list[list[float]]:
     return rows
 
 
-def _write_table(path: str, header: list[str], rows) -> None:
+def _write_table(path: str, header: list[str], rows: np.ndarray) -> None:
+    """Write the header and the rows of an (N, k) array, every value as %.17g."""
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                chunk = rows[start : start + _CHUNK_ROWS]
+                fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot write {path}: {exc}")
 
@@ -139,20 +176,30 @@ _CLARKE = ["rho_re", "rho_im"]
 
 
 def _map_rows(args: argparse.Namespace) -> int:
-    """Run a row command: map each row of --input to one row of --output.
+    """Run a row command: map the rows of --input to the rows of --output.
 
     args.plan(args, geometry) picks the input header, the output header and
-    the row function.  Nothing is written unless every row maps; a straight
-    configuration under avoid-straight exits 4 naming its data row.
+    the array function, which maps all rows at once.  Nothing is written
+    unless every row maps to finite values; otherwise exit 4 names the data
+    row: under avoid-straight the first straight row, else the first row
+    with a non-finite result.
     """
     geometry = load_geometry(args.geometry)
-    in_header, out_header, row_fn = args.plan(args, geometry)
-    out = []
-    for ridx, row in enumerate(_read_table(args.input, in_header), start=1):
-        try:
-            out.append(row_fn(row))
-        except StraightConfigurationError as exc:
-            raise CliError(EXIT_DOMAIN, f"row {ridx}: {exc}")
+    in_header, out_header, rows_fn = args.plan(args, geometry)
+    table = _read_table(args.input, in_header)
+    try:
+        with np.errstate(all="ignore"):
+            out = rows_fn(table)
+    except StraightConfigurationError as exc:
+        raise CliError(EXIT_DOMAIN, f"row {exc.row + 1}: {exc}")
+    finite = np.isfinite(out)
+    if not finite.all():
+        ridx, col = np.argwhere(~finite)[0]
+        raise CliError(
+            EXIT_DOMAIN,
+            f"row {ridx + 1}: column {out_header[col]} is {out[ridx, col]}; "
+            "the input is outside the finite domain of the map",
+        )
     _write_table(args.output, out_header, out)
     return EXIT_OK
 
@@ -160,8 +207,8 @@ def _map_rows(args: argparse.Namespace) -> int:
 def _transform_plan(args: argparse.Namespace, geometry: RobotGeometry):
     rho = _joint_header("rho", geometry.n)
     if args.direction == "forward":
-        return rho, _CLARKE, lambda row: forward_transform(geometry, row)
-    return _CLARKE, rho, lambda row: inverse_transform(geometry, row)
+        return rho, _CLARKE, lambda rows: forward_transform_rows(geometry, rows)
+    return _CLARKE, rho, lambda rows: inverse_transform_rows(geometry, rows)
 
 
 def _convert_plan(args: argparse.Namespace, geometry: RobotGeometry):
@@ -176,14 +223,13 @@ def _convert_plan(args: argparse.Namespace, geometry: RobotGeometry):
         raise CliError(EXIT_USAGE, f"--scheme is required with --from {args.source}")
     lengths = _joint_header("l", geometry.n)
     if scheme is None:  # --from lengths
-        return lengths, _CLARKE, lambda row: legacy.clarke_from_lengths(geometry, row)
+        return lengths, _CLARKE, lambda rows: legacy.clarke_from_lengths_rows(geometry, rows)
     pair = list(scheme.pair_names)
     if args.source == "legacy":
-        return pair, _CLARKE, lambda row: legacy.clarke_from_legacy(scheme, geometry, row)
-    # [1:] drops the scheme tag of the LegacyPair
+        return pair, _CLARKE, lambda rows: legacy.clarke_from_legacy_rows(scheme, geometry, rows)
     if args.source == "clarke":
-        return _CLARKE, pair, lambda row: legacy.legacy_from_clarke(scheme, geometry, row)[1:]
-    return lengths, pair, lambda row: legacy.legacy_from_lengths(scheme, geometry, row)[1:]
+        return _CLARKE, pair, lambda rows: legacy.legacy_from_clarke_rows(scheme, geometry, rows)
+    return lengths, pair, lambda rows: legacy.legacy_from_lengths_rows(scheme, geometry, rows)
 
 
 def _fk_plan(args: argparse.Namespace, geometry: RobotGeometry):
@@ -192,13 +238,8 @@ def _fk_plan(args: argparse.Namespace, geometry: RobotGeometry):
         config = RegularizationConfig.default(geometry, epsilon=args.epsilon)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
-
-    def pose_row(row):
-        pose = forward_kinematics(geometry, row, strategy=strategy, config=config)
-        return [*pose.position, *pose.rotation.ravel()]
-
     header = ["x", "y", "z"] + [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    return _CLARKE, header, pose_row
+    return _CLARKE, header, lambda rows: forward_kinematics_rows(geometry, rows, strategy, config)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -230,6 +271,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     geometry = load_geometry(args.geometry)
     if args.n_max < 3:
         raise CliError(EXIT_USAGE, f"--n-max must be at least 3, got {args.n_max}")
+    if not args.membership_tol > 0.0:
+        raise CliError(EXIT_USAGE, f"--membership-tol must be positive, got {args.membership_tol}")
     tol = _identity_tolerance(args.tol)
     results = identities.run_identity_suite(
         d=geometry.d, l=geometry.l, n_max=args.n_max, tol=tol
@@ -246,9 +289,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     membership_failures = 0
     if args.membership is not None:
         rows = _read_table(args.membership, _joint_header("rho", geometry.n))
-        inside = sum(
-            joint_space.contains(geometry, row, tol=args.membership_tol) for row in rows
-        )
+        with np.errstate(all="ignore"):
+            inside_rows = joint_space.contains_rows(geometry, rows, tol=args.membership_tol)
+        inside = int(np.count_nonzero(inside_rows))
         membership_failures = len(rows) - inside
         print(
             f"membership: {inside}/{len(rows)} rows inside the joint space "

@@ -12,7 +12,8 @@ right inverse M_P^R = (n/2) * M_P.T maps back.  Both maps are linear and
 time-invariant, so they apply unchanged to displacement rates.
 
 All matrices are built once per geometry and cached; transforms are plain
-matrix-vector products.
+matrix-vector products.  The *_rows forms map a whole (N, k) array of rows
+at once and are bitwise equal to the scalar forms applied row by row.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _positive_finite(value) -> bool:
+    """Whether value is a real number in (0, inf); False for non-numbers such as strings."""
+    try:
+        return math.isfinite(value) and value > 0.0
+    except TypeError:
+        return False
+
+
 def symmetric_joint_angles(n: int) -> np.ndarray:
     """Angles psi_i = 2*pi*(i-1)/n for i = 1..n."""
     return 2.0 * np.pi * np.arange(n) / n
@@ -76,10 +85,10 @@ class RobotGeometry:
             raise GeometryError(f"joint count must be an integer, got {self.n!r}")
         if self.n < 3:
             raise GeometryError(f"at least 3 joints required, got n={self.n}")
-        if not (math.isfinite(self.d) and self.d > 0.0):
-            raise GeometryError(f"offset distance must be positive, got d={self.d}")
-        if not (math.isfinite(self.l) and self.l > 0.0):
-            raise GeometryError(f"segment length must be positive, got l={self.l}")
+        if not _positive_finite(self.d):
+            raise GeometryError(f"offset distance must be positive and finite, got d={self.d!r}")
+        if not _positive_finite(self.l):
+            raise GeometryError(f"segment length must be positive and finite, got l={self.l!r}")
         expected = symmetric_joint_angles(self.n)
         if self.psi is None:
             psi = expected
@@ -149,6 +158,14 @@ def as_displacements(geometry: RobotGeometry, rho) -> np.ndarray:
     return arr
 
 
+def as_rows(rows, width: int) -> np.ndarray:
+    """Validate and convert an (N, width) table of rows to a float array."""
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"expected rows of {width} values, got shape {arr.shape}")
+    return arr
+
+
 def forward_transform(geometry: RobotGeometry, rho) -> ClarkeCoords:
     """Map joint displacements to Clarke coordinates, rho_clarke = M_P rho.
 
@@ -170,6 +187,27 @@ def inverse_transform(geometry: RobotGeometry, clarke) -> np.ndarray:
     if vec.shape != (2,):
         raise ValueError(f"expected 2 Clarke coordinates, got shape {vec.shape}")
     return geometry.clarke.right_inverse @ vec
+
+
+def forward_transform_rows(geometry: RobotGeometry, rho_rows) -> np.ndarray:
+    """Clarke rows (N, 2) of displacement rows (N, n).
+
+    The array form of forward_transform, bitwise equal to the scalar form on
+    every row: a stacked matrix-vector product, which rounds as M_P @ rho
+    does (rows @ M_P.T would sum in another order).
+    """
+    arr = as_rows(rho_rows, geometry.n)
+    return (geometry.clarke.forward @ arr[:, :, None])[:, :, 0]
+
+
+def inverse_transform_rows(geometry: RobotGeometry, clarke_rows) -> np.ndarray:
+    """Displacement rows (N, n) of Clarke rows (N, 2).
+
+    The array form of inverse_transform, bitwise equal to the scalar form on
+    every row.
+    """
+    arr = as_rows(clarke_rows, 2)
+    return (geometry.clarke.right_inverse @ arr[:, :, None])[:, :, 0]
 
 
 def projector(geometry: RobotGeometry) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotGeometry, as_displacements, projector
+from .core import RobotGeometry, as_displacements, as_rows, projector
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -40,6 +40,23 @@ def contains(geometry: RobotGeometry, rho, tol: float = DEFAULT_MEMBERSHIP_TOL) 
     arr = as_displacements(geometry, rho)
     residual = arr - projector(geometry) @ arr
     return float(np.max(np.abs(residual))) <= tol * max(1.0, float(np.max(np.abs(arr))))
+
+
+def contains_rows(
+    geometry: RobotGeometry, rho_rows, tol: float = DEFAULT_MEMBERSHIP_TOL
+) -> np.ndarray:
+    """Joint-space membership of each displacement row of an (N, n) array.
+
+    The array form of contains, bitwise equal to the scalar form on every
+    row: the projection is a stacked matrix-vector product and the maxima
+    are exact.
+    """
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    arr = as_rows(rho_rows, geometry.n)
+    residual = arr - (projector(geometry) @ arr[:, :, None])[:, :, 0]
+    scale = np.maximum(1.0, np.max(np.abs(arr), axis=1))
+    return np.max(np.abs(residual), axis=1) <= tol * scale
 
 
 def project(geometry: RobotGeometry, rho) -> np.ndarray:
@@ -79,6 +96,7 @@ __all__ = [
     "JointSpaceBasis",
     "basis",
     "contains",
+    "contains_rows",
     "project",
     "sample",
 ]

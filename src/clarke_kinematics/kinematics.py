@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RobotGeometry, ClarkeCoords, as_displacements
+from .core import RobotGeometry, ClarkeCoords, as_displacements, as_rows
 
 _TAU = 2.0 * math.pi
 # below this angle the truncated series are more accurate than the closed forms
@@ -33,7 +33,19 @@ _SERIES_CUTOFF = 1e-4
 
 
 class StraightConfigurationError(ValueError):
-    """Raised by the avoid-straight strategy when the bending angle is below epsilon."""
+    """Raised by the avoid-straight strategy when the bending angle is below epsilon.
+
+    forward_kinematics_rows sets `row` to the index of the first such row.
+    """
+
+    row: int | None = None
+
+    @classmethod
+    def below(cls, phi: float, eps: float) -> "StraightConfigurationError":
+        return cls(
+            f"bending angle {phi:.3e} below epsilon {eps:.3e}; "
+            "straight configurations are excluded by the avoid-straight strategy"
+        )
 
 
 class SingularityStrategy(enum.Enum):
@@ -127,10 +139,12 @@ class RegularizationConfig:
     decay: str = "exponential"
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.b > 0.0:
-            raise ValueError(f"b must be positive, got {self.b}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"a must be finite, got {self.a}")
+        if not (math.isfinite(self.b) and self.b > 0.0):
+            raise ValueError(f"b must be positive and finite, got {self.b}")
         if self.decay not in ("exponential", "mirrored_logistic"):
             raise ValueError(
                 f"decay must be 'exponential' or 'mirrored_logistic', got {self.decay!r}"
@@ -143,9 +157,10 @@ class RegularizationConfig:
         """Defaults scaled to the geometry: epsilon = 1e-9 * d, and b chosen so
         the additive term halves once rho^T rho reaches epsilon * d."""
         eps = 1e-9 * geometry.d if epsilon is None else epsilon
-        if not eps > 0.0:
-            raise ValueError(f"epsilon must be positive, got {eps}")
-        return cls(epsilon=eps, a=0.0, b=math.log(2.0) / (eps * geometry.d))
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {eps}")
+        scale = eps * geometry.d
+        return cls(epsilon=eps, a=0.0, b=math.log(2.0) / scale if scale > 0.0 else math.inf)
 
     def decay_value(self, t: float) -> float:
         """Evaluate the decay function f at t."""
@@ -246,10 +261,7 @@ def forward_kinematics(
     phi = math.hypot(u, v)
 
     if strategy is SingularityStrategy.AVOID_STRAIGHT and phi < eps:
-        raise StraightConfigurationError(
-            f"bending angle {phi:.3e} below epsilon {eps:.3e}; "
-            "straight configurations are excluded by the avoid-straight strategy"
-        )
+        raise StraightConfigurationError.below(phi, eps)
 
     if strategy is SingularityStrategy.LINEARIZE_NEAR_ZERO and phi < eps:
         g1, g2, cos_phi = 1.0, 0.5, 1.0
@@ -274,3 +286,76 @@ def forward_kinematics(
         ]
     )
     return Pose(position=position, rotation=rotation)
+
+
+def _sinc_rows(x: np.ndarray) -> np.ndarray:
+    """_sinc of each entry; call under np.errstate, since 0/0 is evaluated and discarded."""
+    x2 = x * x
+    return np.where(np.abs(x) < _SERIES_CUTOFF, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(x) / x)
+
+
+def _versinc_rows(x: np.ndarray) -> np.ndarray:
+    """_versinc of each entry, under np.errstate like _sinc_rows."""
+    x2 = x * x
+    s = np.sin(0.5 * x)
+    return np.where(np.abs(x) < _SERIES_CUTOFF, 0.5 - x2 / 24.0 + x2 * x2 / 720.0, 2.0 * s * s / x2)
+
+
+def forward_kinematics_rows(
+    geometry: RobotGeometry,
+    clarke_rows,
+    strategy: SingularityStrategy = SingularityStrategy.ANALYTIC_BRANCH,
+    config: RegularizationConfig | None = None,
+) -> np.ndarray:
+    """Tip poses of an (N, 2) array of Clarke rows, as an (N, 12) array.
+
+    Each row holds position x, y, z and then the rotation row by row, r11 to
+    r33.  The array form of forward_kinematics, bitwise equal to the scalar
+    form on every row: the same float operations in the same order, with phi
+    from math.hypot and the adaptive decay from config.decay_value, because
+    numpy's hypot and exp round differently from math's (numpy's float64
+    sin, cos and sqrt agree with math's).  A row whose pose overflows comes
+    out non-finite instead of raising.  avoid-straight raises
+    StraightConfigurationError for the first row below epsilon, with its
+    index in `row`.
+    """
+    arr = as_rows(clarke_rows, 2)
+    if config is None:
+        config = RegularizationConfig.default(geometry)
+    eps, count = config.epsilon, len(arr)
+    u = arr[:, 0] / geometry.d
+    v = arr[:, 1] / geometry.d
+    phi = np.fromiter(map(math.hypot, u.tolist(), v.tolist()), float, count)
+    straight = phi < eps
+
+    if strategy is SingularityStrategy.AVOID_STRAIGHT and straight.any():
+        row = int(straight.argmax())
+        exc = StraightConfigurationError.below(float(phi[row]), eps)
+        exc.row = row
+        raise exc
+
+    with np.errstate(all="ignore"):
+        phi_eff = phi
+        if strategy is SingularityStrategy.ADD_EPSILON:
+            phi_eff = phi + eps
+        elif strategy is SingularityStrategy.SATURATE_EPSILON:
+            phi_eff = np.maximum(phi, eps)
+        elif strategy is SingularityStrategy.ADAPTIVE_EPSILON:
+            re, im = arr[:, 0], arr[:, 1]
+            ss = 0.5 * geometry.n * (re * re + im * im)
+            t = (config.a + config.b * ss).tolist()
+            decay = np.fromiter(map(config.decay_value, t), float, count)
+            phi_eff = (np.sqrt(2.0 * ss / geometry.n) + config.epsilon * decay) / geometry.d
+        g1, g2, cos_phi = _sinc_rows(phi_eff), _versinc_rows(phi_eff), np.cos(phi_eff)
+        if strategy is SingularityStrategy.LINEARIZE_NEAR_ZERO:
+            g1[straight], g2[straight], cos_phi[straight] = 1.0, 0.5, 1.0
+
+        l = geometry.l
+        return np.column_stack(
+            [
+                l * (u * g2), l * (v * g2), l * g1,
+                1.0 - u * u * g2, -u * v * g2, u * g1,
+                -u * v * g2, 1.0 - v * v * g2, v * g1,
+                -u * g1, -v * g1, cos_phi,
+            ]
+        )

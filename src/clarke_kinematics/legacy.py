@@ -26,7 +26,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ClarkeCoords, RobotGeometry, as_displacements, forward_transform
+from .core import (
+    ClarkeCoords,
+    RobotGeometry,
+    as_displacements,
+    as_rows,
+    forward_transform,
+    forward_transform_rows,
+)
 
 
 class SchemeMismatchError(ValueError):
@@ -137,18 +144,22 @@ def legacy_from_displacements(
     """
     _check_scheme(scheme, geometry)
     arr = as_displacements(geometry, rho)
-    d = geometry.d
+    return LegacyPair(scheme, *_pair_from_displacements(scheme, arr, geometry.d))
+
+
+def _pair_from_displacements(scheme: LegacyScheme, rho, d: float):
+    """The published formulas; rho[i] is joint i+1's displacement, a float or a column."""
     if scheme is LegacyScheme.DIAN3:
-        dx = (2.0 * arr[0] - arr[1] - arr[2]) / 3.0
-        dy = (arr[1] - arr[2]) / math.sqrt(3.0)
-        return LegacyPair(scheme, dx, dy)
+        dx = (2.0 * rho[0] - rho[1] - rho[2]) / 3.0
+        dy = (rho[1] - rho[2]) / math.sqrt(3.0)
+        return dx, dy
     if scheme is LegacyScheme.DELLA_SANTINA4:
-        return LegacyPair(scheme, (arr[0] - arr[2]) / 2.0, (arr[1] - arr[3]) / 2.0)
+        return (rho[0] - rho[2]) / 2.0, (rho[1] - rho[3]) / 2.0
     if scheme is LegacyScheme.ALLEN3:
-        u = (arr[2] - arr[1]) / (math.sqrt(3.0) * d)
-        v = (2.0 * arr[0] - arr[1] - arr[2]) / (3.0 * d)
-        return LegacyPair(scheme, u, v)
-    return LegacyPair(scheme, (arr[3] - arr[1]) / d, (arr[0] - arr[2]) / d)
+        u = (rho[2] - rho[1]) / (math.sqrt(3.0) * d)
+        v = (2.0 * rho[0] - rho[1] - rho[2]) / (3.0 * d)
+        return u, v
+    return (rho[3] - rho[1]) / d, (rho[0] - rho[2]) / d
 
 
 def legacy_from_lengths(
@@ -163,3 +174,43 @@ def legacy_from_lengths(
 def clarke_from_lengths(geometry: RobotGeometry, lengths) -> ClarkeCoords:
     """Clarke coordinates from absolute actuation lengths."""
     return forward_transform(geometry, lengths_to_displacements(geometry, lengths))
+
+
+def legacy_from_clarke_rows(
+    scheme: LegacyScheme, geometry: RobotGeometry, clarke_rows
+) -> np.ndarray:
+    """(p1, p2) rows of Clarke rows; bitwise equal to the scalar form legacy_from_clarke."""
+    _check_scheme(scheme, geometry)
+    arr = as_rows(clarke_rows, 2)
+    k = scheme._k
+    if k is None:
+        return arr.copy()
+    d = geometry.d
+    return np.column_stack([-k * arr[:, 1] / d, k * arr[:, 0] / d])
+
+
+def clarke_from_legacy_rows(
+    scheme: LegacyScheme, geometry: RobotGeometry, pair_rows
+) -> np.ndarray:
+    """Clarke rows of (p1, p2) rows; bitwise equal to the scalar form clarke_from_legacy."""
+    _check_scheme(scheme, geometry)
+    arr = as_rows(pair_rows, 2)
+    k = scheme._k
+    if k is None:
+        return arr.copy()
+    d = geometry.d
+    return np.column_stack([arr[:, 1] * d / k, -arr[:, 0] * d / k])
+
+
+def legacy_from_lengths_rows(
+    scheme: LegacyScheme, geometry: RobotGeometry, length_rows
+) -> np.ndarray:
+    """(p1, p2) rows of length rows; bitwise equal to the scalar form legacy_from_lengths."""
+    _check_scheme(scheme, geometry)
+    rho = geometry.l - as_rows(length_rows, geometry.n)
+    return np.column_stack(_pair_from_displacements(scheme, rho.T, geometry.d))
+
+
+def clarke_from_lengths_rows(geometry: RobotGeometry, length_rows) -> np.ndarray:
+    """Clarke rows of length rows; bitwise equal to the scalar form clarke_from_lengths."""
+    return forward_transform_rows(geometry, geometry.l - as_rows(length_rows, geometry.n))

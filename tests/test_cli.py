@@ -229,14 +229,19 @@ class TestFk:
         assert "row 2" in capsys.readouterr().err
 
     def test_row_numbers_skip_blank_lines(self, tmp_path, capsys):
-        """Domain and parse errors both count data rows, not file lines."""
+        """Domain and parse errors both count data rows, not file lines.
+
+        A finite input whose pose is not finite is a domain error too.
+        """
         geom = write_geometry(tmp_path / "g.json")
         path = tmp_path / "in.csv"
-        for third_line, code in (("0,0", 4), ("x,0", 3)):
+        out = tmp_path / "o.csv"
+        for third_line, code in (("0,0", 4), ("x,0", 3), ("1e300,0", 4), ("1e308,1e308", 4)):
             path.write_text(f"rho_re,rho_im\n0.001,0\n\n{third_line}\n")
             assert main(["fk", "--geometry", geom, "--input", str(path), "--strategy",
-                         "avoid-straight", "--output", str(tmp_path / "o.csv")]) == code
+                         "avoid-straight", "--output", str(out)]) == code
             assert "row 2" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_strategy_exits_2(self, tmp_path):
         geom = write_geometry(tmp_path / "g.json")

@@ -54,7 +54,9 @@ class TestGeometry:
         with pytest.raises(GeometryError):
             RobotGeometry(n=2, d=0.01, l=0.1)
 
-    @pytest.mark.parametrize("d,l", [(0.0, 0.1), (-0.01, 0.1), (0.01, 0.0), (0.01, -1.0)])
+    @pytest.mark.parametrize("d,l", [(0.0, 0.1), (-0.01, 0.1), (0.01, 0.0), (0.01, -1.0),
+                                     ("0.01", 0.1), (0.01, "0.1"), (math.inf, 0.1),
+                                     (0.01, math.nan)])
     def test_rejects_nonpositive_dimensions(self, d, l):
         with pytest.raises(GeometryError):
             RobotGeometry(n=4, d=d, l=l)

@@ -103,13 +103,18 @@ class TestClarkeFromArc:
 
 
 class TestRegularizationConfig:
-    def test_validation(self):
+    def test_validation(self, geometry4):
         with pytest.raises(ValueError):
             RegularizationConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             RegularizationConfig(epsilon=1e-9, b=0.0)
         with pytest.raises(ValueError):
             RegularizationConfig(epsilon=1e-9, decay="linear")
+        for bad in ({"epsilon": math.inf}, {"a": math.nan}, {"b": math.inf}):
+            with pytest.raises(ValueError):
+                RegularizationConfig(**{"epsilon": 1e-9, **bad})
+        with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
+            RegularizationConfig.default(geometry4, epsilon=math.inf)
 
     def test_defaults_scale_with_geometry(self, geometry4):
         cfg = RegularizationConfig.default(geometry4)
