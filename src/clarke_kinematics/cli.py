@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 identity failure, 2 usage or schema error, 3 cell
 parse error, 4 domain error (a row whose result is not finite, or
 avoid-straight at a straight configuration).
 The identity tolerance of `check` can be overridden with the environment
-variable CLARKE_KIN_TOL.
+variable CLARKE_KIN_TOL.  `check --n-max` is at most 256 (_N_MAX_LIMIT), because
+the suite builds an n x n projector for every joint count up to it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 
 TOL_ENV_VAR = "CLARKE_KIN_TOL"
+_N_MAX_LIMIT = 256
 
 
 class CliError(Exception):
@@ -269,8 +271,10 @@ def _identity_tolerance(flag_value: float | None) -> float:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     geometry = load_geometry(args.geometry)
-    if args.n_max < 3:
-        raise CliError(EXIT_USAGE, f"--n-max must be at least 3, got {args.n_max}")
+    if not 3 <= args.n_max <= _N_MAX_LIMIT:
+        raise CliError(
+            EXIT_USAGE, f"--n-max must be between 3 and {_N_MAX_LIMIT}, got {args.n_max}"
+        )
     if not args.membership_tol > 0.0:
         raise CliError(EXIT_USAGE, f"--membership-tol must be positive, got {args.membership_tol}")
     tol = _identity_tolerance(args.tol)

@@ -148,13 +148,14 @@ def build_clarke_matrix(geometry: RobotGeometry) -> ClarkeMatrix:
     return geometry.clarke
 
 
-def as_displacements(geometry: RobotGeometry, rho) -> np.ndarray:
-    """Validate and convert a joint-displacement vector to a float array."""
-    arr = np.asarray(rho, dtype=float)
-    if arr.shape != (geometry.n,):
-        raise ValueError(
-            f"expected {geometry.n} joint displacements, got shape {arr.shape}"
-        )
+def as_vector(values, size: int, what: str) -> np.ndarray:
+    """Validate and convert a vector of `size` values to a float array.
+
+    `what` names the values in the error, e.g. "joint displacements".
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (size,):
+        raise ValueError(f"expected {size} {what}, got shape {arr.shape}")
     return arr
 
 
@@ -172,8 +173,7 @@ def forward_transform(geometry: RobotGeometry, rho) -> ClarkeCoords:
     Linear and time-invariant: applied to displacement rates it yields
     Clarke-coordinate rates.
     """
-    arr = as_displacements(geometry, rho)
-    re, im = geometry.clarke.forward @ arr
+    re, im = geometry.clarke.forward @ as_vector(rho, geometry.n, "joint displacements")
     return ClarkeCoords(float(re), float(im))
 
 
@@ -183,10 +183,7 @@ def inverse_transform(geometry: RobotGeometry, clarke) -> np.ndarray:
     The result lies in the joint space by construction, so its entries sum
     to zero.  Applied to Clarke-coordinate rates it yields displacement rates.
     """
-    vec = np.asarray(clarke, dtype=float)
-    if vec.shape != (2,):
-        raise ValueError(f"expected 2 Clarke coordinates, got shape {vec.shape}")
-    return geometry.clarke.right_inverse @ vec
+    return geometry.clarke.right_inverse @ as_vector(clarke, 2, "Clarke coordinates")
 
 
 def forward_transform_rows(geometry: RobotGeometry, rho_rows) -> np.ndarray:

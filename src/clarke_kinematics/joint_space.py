@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotGeometry, as_displacements, as_rows, projector
+from .core import RobotGeometry, as_rows, as_vector, projector
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -35,11 +35,7 @@ def contains(geometry: RobotGeometry, rho, tol: float = DEFAULT_MEMBERSHIP_TOL) 
 
     True iff ||rho - P rho||_inf <= tol * max(1, ||rho||_inf).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    arr = as_displacements(geometry, rho)
-    residual = arr - projector(geometry) @ arr
-    return float(np.max(np.abs(residual))) <= tol * max(1.0, float(np.max(np.abs(arr))))
+    return bool(_inside(geometry, as_vector(rho, geometry.n, "joint displacements"), tol))
 
 
 def contains_rows(
@@ -48,15 +44,21 @@ def contains_rows(
     """Joint-space membership of each displacement row of an (N, n) array.
 
     The array form of contains, bitwise equal to the scalar form on every
-    row: the projection is a stacked matrix-vector product and the maxima
-    are exact.
+    row: both run _inside.
+    """
+    return _inside(geometry, as_rows(rho_rows, geometry.n), tol)
+
+
+def _inside(geometry: RobotGeometry, arr: np.ndarray, tol: float):
+    """The residual test of contains for each displacement vector along arr's last axis.
+
+    The projection is a (stacked) matrix-vector product, which rounds the
+    same for one vector and for a stack of rows; the maxima are exact.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    arr = as_rows(rho_rows, geometry.n)
-    residual = arr - (projector(geometry) @ arr[:, :, None])[:, :, 0]
-    scale = np.maximum(1.0, np.max(np.abs(arr), axis=1))
-    return np.max(np.abs(residual), axis=1) <= tol * scale
+    residual = arr - (projector(geometry) @ arr[..., None])[..., 0]
+    return np.abs(residual).max(axis=-1) <= tol * np.abs(arr).max(axis=-1, initial=1.0)
 
 
 def project(geometry: RobotGeometry, rho) -> np.ndarray:
@@ -66,8 +68,7 @@ def project(geometry: RobotGeometry, rho) -> np.ndarray:
     component invisible to the forward transform (in particular any constant
     offset) is discarded, so the result always sums to zero.
     """
-    arr = as_displacements(geometry, rho)
-    return projector(geometry) @ arr
+    return projector(geometry) @ as_vector(rho, geometry.n, "joint displacements")
 
 
 def sample(

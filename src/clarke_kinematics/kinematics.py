@@ -22,10 +22,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .core import RobotGeometry, ClarkeCoords, as_displacements, as_rows
+from .core import RobotGeometry, ClarkeCoords, as_rows, as_vector
 
 _TAU = 2.0 * math.pi
 # below this angle the truncated series are more accurate than the closed forms
@@ -156,11 +157,17 @@ class RegularizationConfig:
     ) -> "RegularizationConfig":
         """Defaults scaled to the geometry: epsilon = 1e-9 * d, and b chosen so
         the additive term halves once rho^T rho reaches epsilon * d."""
+        if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         eps = 1e-9 * geometry.d if epsilon is None else epsilon
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {eps}")
         scale = eps * geometry.d
-        return cls(epsilon=eps, a=0.0, b=math.log(2.0) / scale if scale > 0.0 else math.inf)
+        b = math.log(2.0) / scale if scale > 0.0 else math.inf
+        if math.isinf(b):
+            raise ValueError(
+                f"epsilon * d = {eps} * {geometry.d} is too small: "
+                "the decay rate ln(2)/(epsilon * d) is not finite"
+            )
+        return cls(epsilon=eps, a=0.0, b=b)
 
     def decay_value(self, t: float) -> float:
         """Evaluate the decay function f at t."""
@@ -178,7 +185,7 @@ def arc_from_clarke(geometry: RobotGeometry, clarke) -> ArcParams:
     in the straight configuration.  Valid with or without the constant
     curvature assumption; kappa = phi/l is meaningful only with it.
     """
-    re, im = (float(c) for c in np.asarray(clarke, dtype=float))
+    re, im = as_vector(clarke, 2, "Clarke coordinates").tolist()
     phi = math.hypot(re, im) / geometry.d
     theta = math.atan2(im, re) if phi > 0.0 else 0.0
     return ArcParams(theta=theta, phi=phi, kappa=phi / geometry.l)
@@ -199,30 +206,73 @@ def regularized_magnitude(
     The additive term epsilon * f(a + b * rho^T rho) is strictly positive,
     keeps the result nonzero at rho = 0, and vanishes as rho^T rho grows.
     """
-    arr = as_displacements(geometry, rho)
-    return _regularized_norm(float(arr @ arr), geometry.n, config)
+    arr = as_vector(rho, geometry.n, "joint displacements")
+    return _regularized_norm(float(arr @ arr), geometry.n, config, _FLOAT_OPS)
 
 
-def _regularized_norm(ss: float, n: int, config: RegularizationConfig) -> float:
+# The elementwise operations of the kernels below, on one Python float (math
+# functions only, so a scalar call adds no numpy call) and on numpy columns.
+# Each array operation rounds as its float twin on every entry: numpy's
+# float64 sin, cos and sqrt agree with math's, but its exp does not, so the
+# adaptive decay maps config.decay_value over the rows.
+_FLOAT_OPS = SimpleNamespace(
+    sin=math.sin, cos=math.cos, sqrt=math.sqrt, maximum=max,
+    where=lambda cond, a, b: a if cond else b,
+    decay=RegularizationConfig.decay_value,
+)
+_ARRAY_OPS = SimpleNamespace(
+    sin=np.sin, cos=np.cos, sqrt=np.sqrt, maximum=np.maximum, where=np.where,
+    decay=lambda config, t: np.fromiter(map(config.decay_value, t.tolist()), float, len(t)),
+)
+
+
+def _regularized_norm(ss, n: int, config: RegularizationConfig, ops):
     """regularized_magnitude of an n-vector rho from ss = rho^T rho."""
-    return math.sqrt(2.0 * ss / n) + config.epsilon * config.decay_value(config.a + config.b * ss)
+    return ops.sqrt(2.0 * ss / n) + config.epsilon * ops.decay(config, config.a + config.b * ss)
 
 
-def _sinc(x: float) -> float:
-    """sin(x)/x, exact limit 1 at x = 0."""
-    if abs(x) < _SERIES_CUTOFF:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return math.sin(x) / x
+def _effective_angle(geometry, re, im, phi, strategy, config, ops):
+    """The bending angle the strategy evaluates the pose at.
+
+    phi itself, except phi + epsilon (add-epsilon), max(phi, epsilon)
+    (saturate-epsilon) and the regularized magnitude over d
+    (adaptive-epsilon), with rho^T rho = (n/2) |clarke|^2.
+    """
+    if strategy is SingularityStrategy.ADD_EPSILON:
+        return phi + config.epsilon
+    if strategy is SingularityStrategy.SATURATE_EPSILON:
+        return ops.maximum(phi, config.epsilon)
+    if strategy is SingularityStrategy.ADAPTIVE_EPSILON:
+        ss = 0.5 * geometry.n * (re * re + im * im)
+        return _regularized_norm(ss, geometry.n, config, ops) / geometry.d
+    return phi
 
 
-def _versinc(x: float) -> float:
-    """(1 - cos(x))/x**2, exact limit 1/2 at x = 0; cancellation-free."""
-    if abs(x) < _SERIES_CUTOFF:
-        x2 = x * x
-        return 0.5 - x2 / 24.0 + x2 * x2 / 720.0
-    s = math.sin(0.5 * x)
-    return 2.0 * s * s / (x * x)
+def _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, ops):
+    """The 12 pose entries x, y, z, r11, ..., r33 at (u, v) = clarke/d, bent by phi_eff.
+
+    g1 = sin(x)/x and g2 = (1 - cos(x))/x**2 at x = phi_eff come from their
+    truncated series below _SERIES_CUTOFF and from cancellation-free closed
+    forms above it.  linearize-near-zero takes their limits where phi < epsilon.
+    """
+    x2 = phi_eff * phi_eff
+    series = abs(phi_eff) < _SERIES_CUTOFF
+    safe = ops.where(series, 1.0, phi_eff)  # keeps the unused closed forms finite at 0
+    s = ops.sin(0.5 * phi_eff)
+    g1 = ops.where(series, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, ops.sin(phi_eff) / safe)
+    g2 = ops.where(series, 0.5 - x2 / 24.0 + x2 * x2 / 720.0, 2.0 * s * s / (safe * safe))
+    cos_phi = ops.cos(phi_eff)
+    if strategy is SingularityStrategy.LINEARIZE_NEAR_ZERO:
+        straight = phi < config.epsilon
+        g1, g2 = ops.where(straight, 1.0, g1), ops.where(straight, 0.5, g2)
+        cos_phi = ops.where(straight, 1.0, cos_phi)
+    l = geometry.l
+    return (
+        l * (u * g2), l * (v * g2), l * g1,
+        1.0 - u * u * g2, -u * v * g2, u * g1,
+        -u * v * g2, 1.0 - v * v * g2, v * g1,
+        -u * g1, -v * g1, cos_phi,
+    )
 
 
 def forward_kinematics(
@@ -243,62 +293,28 @@ def forward_kinematics(
     with g1 = sin(phi)/phi and g2 = (1 - cos(phi))/phi**2, the expanded form
     of an arc of angle phi in the plane rotated by theta about the base
     tangent.  The strategy decides how the phi ~ 0 regime is evaluated;
-    avoid-straight is the only strategy that can raise.
+    avoid-straight raises StraightConfigurationError there.  Every strategy
+    raises ValueError when the bending angle it evaluates is not finite
+    (a NaN coordinate, or one so large that phi overflows).
 
     adaptive-epsilon takes rho^T rho = (n/2) |clarke|^2 for the joint-space
     rho = inverse_transform(clarke) without building rho; its effective
     angle is within 4 * 2**-52 relative of the one computed through rho.
     """
-    vec = np.asarray(clarke, dtype=float)
-    if vec.shape != (2,):
-        raise ValueError(f"expected 2 Clarke coordinates, got shape {vec.shape}")
+    re, im = as_vector(clarke, 2, "Clarke coordinates").tolist()
     if config is None:
         config = RegularizationConfig.default(geometry)
-    eps = config.epsilon
-
-    u = float(vec[0]) / geometry.d
-    v = float(vec[1]) / geometry.d
+    u, v = re / geometry.d, im / geometry.d
     phi = math.hypot(u, v)
-
-    if strategy is SingularityStrategy.AVOID_STRAIGHT and phi < eps:
-        raise StraightConfigurationError.below(phi, eps)
-
-    if strategy is SingularityStrategy.LINEARIZE_NEAR_ZERO and phi < eps:
-        g1, g2, cos_phi = 1.0, 0.5, 1.0
-    else:
-        phi_eff = phi
-        if strategy is SingularityStrategy.ADD_EPSILON:
-            phi_eff = phi + eps
-        elif strategy is SingularityStrategy.SATURATE_EPSILON:
-            phi_eff = max(phi, eps)
-        elif strategy is SingularityStrategy.ADAPTIVE_EPSILON:
-            re, im = float(vec[0]), float(vec[1])
-            ss = 0.5 * geometry.n * (re * re + im * im)
-            phi_eff = _regularized_norm(ss, geometry.n, config) / geometry.d
-        g1, g2, cos_phi = _sinc(phi_eff), _versinc(phi_eff), math.cos(phi_eff)
-
-    position = geometry.l * np.array([u * g2, v * g2, g1])
-    rotation = np.array(
-        [
-            [1.0 - u * u * g2, -u * v * g2, u * g1],
-            [-u * v * g2, 1.0 - v * v * g2, v * g1],
-            [-u * g1, -v * g1, cos_phi],
-        ]
-    )
-    return Pose(position=position, rotation=rotation)
-
-
-def _sinc_rows(x: np.ndarray) -> np.ndarray:
-    """_sinc of each entry; call under np.errstate, since 0/0 is evaluated and discarded."""
-    x2 = x * x
-    return np.where(np.abs(x) < _SERIES_CUTOFF, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(x) / x)
-
-
-def _versinc_rows(x: np.ndarray) -> np.ndarray:
-    """_versinc of each entry, under np.errstate like _sinc_rows."""
-    x2 = x * x
-    s = np.sin(0.5 * x)
-    return np.where(np.abs(x) < _SERIES_CUTOFF, 0.5 - x2 / 24.0 + x2 * x2 / 720.0, 2.0 * s * s / x2)
+    if strategy is SingularityStrategy.AVOID_STRAIGHT and phi < config.epsilon:
+        raise StraightConfigurationError.below(phi, config.epsilon)
+    phi_eff = _effective_angle(geometry, re, im, phi, strategy, config, _FLOAT_OPS)
+    if not math.isfinite(phi_eff):
+        raise ValueError(
+            f"bending angle {phi_eff} of Clarke coordinates ({re}, {im}) is not finite"
+        )
+    terms = _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, _FLOAT_OPS)
+    return Pose(position=np.array(terms[:3]), rotation=np.array(terms[3:]).reshape(3, 3))
 
 
 def forward_kinematics_rows(
@@ -311,51 +327,25 @@ def forward_kinematics_rows(
 
     Each row holds position x, y, z and then the rotation row by row, r11 to
     r33.  The array form of forward_kinematics, bitwise equal to the scalar
-    form on every row: the same float operations in the same order, with phi
-    from math.hypot and the adaptive decay from config.decay_value, because
-    numpy's hypot and exp round differently from math's (numpy's float64
-    sin, cos and sqrt agree with math's).  A row whose pose overflows comes
-    out non-finite instead of raising.  avoid-straight raises
-    StraightConfigurationError for the first row below epsilon, with its
-    index in `row`.
+    form on every row: both run the same kernels, with phi from math.hypot
+    because numpy's hypot rounds differently.  A row whose bending angle or
+    pose overflows comes out non-finite instead of raising.  avoid-straight
+    raises StraightConfigurationError for the first row below epsilon, with
+    its index in `row`.
     """
     arr = as_rows(clarke_rows, 2)
     if config is None:
         config = RegularizationConfig.default(geometry)
-    eps, count = config.epsilon, len(arr)
-    u = arr[:, 0] / geometry.d
-    v = arr[:, 1] / geometry.d
-    phi = np.fromiter(map(math.hypot, u.tolist(), v.tolist()), float, count)
-    straight = phi < eps
-
+    re, im = arr[:, 0], arr[:, 1]
+    u, v = re / geometry.d, im / geometry.d
+    phi = np.fromiter(map(math.hypot, u.tolist(), v.tolist()), float, len(arr))
+    straight = phi < config.epsilon
     if strategy is SingularityStrategy.AVOID_STRAIGHT and straight.any():
         row = int(straight.argmax())
-        exc = StraightConfigurationError.below(float(phi[row]), eps)
+        exc = StraightConfigurationError.below(float(phi[row]), config.epsilon)
         exc.row = row
         raise exc
-
     with np.errstate(all="ignore"):
-        phi_eff = phi
-        if strategy is SingularityStrategy.ADD_EPSILON:
-            phi_eff = phi + eps
-        elif strategy is SingularityStrategy.SATURATE_EPSILON:
-            phi_eff = np.maximum(phi, eps)
-        elif strategy is SingularityStrategy.ADAPTIVE_EPSILON:
-            re, im = arr[:, 0], arr[:, 1]
-            ss = 0.5 * geometry.n * (re * re + im * im)
-            t = (config.a + config.b * ss).tolist()
-            decay = np.fromiter(map(config.decay_value, t), float, count)
-            phi_eff = (np.sqrt(2.0 * ss / geometry.n) + config.epsilon * decay) / geometry.d
-        g1, g2, cos_phi = _sinc_rows(phi_eff), _versinc_rows(phi_eff), np.cos(phi_eff)
-        if strategy is SingularityStrategy.LINEARIZE_NEAR_ZERO:
-            g1[straight], g2[straight], cos_phi[straight] = 1.0, 0.5, 1.0
-
-        l = geometry.l
-        return np.column_stack(
-            [
-                l * (u * g2), l * (v * g2), l * g1,
-                1.0 - u * u * g2, -u * v * g2, u * g1,
-                -u * v * g2, 1.0 - v * v * g2, v * g1,
-                -u * g1, -v * g1, cos_phi,
-            ]
-        )
+        phi_eff = _effective_angle(geometry, re, im, phi, strategy, config, _ARRAY_OPS)
+        terms = _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, _ARRAY_OPS)
+        return np.column_stack(terms)

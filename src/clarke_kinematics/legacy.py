@@ -29,8 +29,8 @@ import numpy as np
 from .core import (
     ClarkeCoords,
     RobotGeometry,
-    as_displacements,
     as_rows,
+    as_vector,
     forward_transform,
     forward_transform_rows,
 )
@@ -43,8 +43,8 @@ class SchemeMismatchError(ValueError):
 class LegacyScheme(enum.Enum):
     """Tag for one of the published two-parameter schemes."""
 
-    # The one per-scheme table: value, n, pair_names, and the k of the map
-    # (p1, p2) = (-k*rho_im/d, k*rho_re/d), or None for (p1, p2) = (rho_re, rho_im).
+    # The one per-scheme table: value, n, pair_names, and the k of the map in
+    # _pair_of, or None for (p1, p2) = (rho_re, rho_im).
     DIAN3 = ("dian3", 3, ("delta_x", "delta_y"), None)
     DELLA_SANTINA4 = ("dellasantina4", 4, ("delta_x", "delta_y"), None)
     ALLEN3 = ("allen3", 3, ("u", "v"), 1.0)
@@ -58,6 +58,20 @@ class LegacyScheme(enum.Enum):
         member._value_ = value
         member.n, member.pair_names, member._k = n, pair_names, k
         return member
+
+    def _pair_of(self, re, im, d: float):
+        """The scheme's (p1, p2) of Clarke coordinates; floats or numpy columns."""
+        k = self._k
+        if k is None:
+            return re, im
+        return -k * im / d, k * re / d
+
+    def _clarke_of(self, p1, p2, d: float):
+        """Clarke coordinates of the scheme's (p1, p2), the inverse of _pair_of."""
+        k = self._k
+        if k is None:
+            return p1, p2
+        return p2 * d / k, -p1 * d / k
 
     @classmethod
     def from_name(cls, name: str) -> "LegacyScheme":
@@ -85,15 +99,12 @@ def _check_scheme(scheme: LegacyScheme, geometry: RobotGeometry) -> None:
 
 def lengths_to_displacements(geometry: RobotGeometry, lengths) -> np.ndarray:
     """Displacements from absolute actuation lengths, rho_i = l - l_i."""
-    arr = np.asarray(lengths, dtype=float)
-    if arr.shape != (geometry.n,):
-        raise ValueError(f"expected {geometry.n} lengths, got shape {arr.shape}")
-    return geometry.l - arr
+    return geometry.l - as_vector(lengths, geometry.n, "lengths")
 
 
 def displacements_to_lengths(geometry: RobotGeometry, rho) -> np.ndarray:
     """Absolute actuation lengths from displacements, l_i = l - rho_i."""
-    return geometry.l - as_displacements(geometry, rho)
+    return geometry.l - as_vector(rho, geometry.n, "joint displacements")
 
 
 def legacy_from_clarke(
@@ -101,12 +112,8 @@ def legacy_from_clarke(
 ) -> LegacyPair:
     """Convert Clarke coordinates to the scheme's parameter pair."""
     _check_scheme(scheme, geometry)
-    re, im = (float(c) for c in np.asarray(clarke, dtype=float))
-    k = scheme._k
-    if k is None:
-        return LegacyPair(scheme, re, im)
-    d = geometry.d
-    return LegacyPair(scheme, -k * im / d, k * re / d)
+    re, im = as_vector(clarke, 2, "Clarke coordinates").tolist()
+    return LegacyPair(scheme, *scheme._pair_of(re, im, geometry.d))
 
 
 def clarke_from_legacy(
@@ -125,12 +132,8 @@ def clarke_from_legacy(
             )
         p1, p2 = pair.p1, pair.p2
     else:
-        p1, p2 = (float(p) for p in pair)
-    k = scheme._k
-    if k is None:
-        return ClarkeCoords(p1, p2)
-    d = geometry.d
-    return ClarkeCoords(p2 * d / k, -p1 * d / k)
+        p1, p2 = as_vector(pair, 2, f"{scheme.value} parameters").tolist()
+    return ClarkeCoords(*scheme._clarke_of(p1, p2, geometry.d))
 
 
 def legacy_from_displacements(
@@ -143,7 +146,7 @@ def legacy_from_displacements(
     independent route for cross-checking.
     """
     _check_scheme(scheme, geometry)
-    arr = as_displacements(geometry, rho)
+    arr = as_vector(rho, geometry.n, "joint displacements")
     return LegacyPair(scheme, *_pair_from_displacements(scheme, arr, geometry.d))
 
 
@@ -182,11 +185,7 @@ def legacy_from_clarke_rows(
     """(p1, p2) rows of Clarke rows; bitwise equal to the scalar form legacy_from_clarke."""
     _check_scheme(scheme, geometry)
     arr = as_rows(clarke_rows, 2)
-    k = scheme._k
-    if k is None:
-        return arr.copy()
-    d = geometry.d
-    return np.column_stack([-k * arr[:, 1] / d, k * arr[:, 0] / d])
+    return np.column_stack(scheme._pair_of(arr[:, 0], arr[:, 1], geometry.d))
 
 
 def clarke_from_legacy_rows(
@@ -195,11 +194,7 @@ def clarke_from_legacy_rows(
     """Clarke rows of (p1, p2) rows; bitwise equal to the scalar form clarke_from_legacy."""
     _check_scheme(scheme, geometry)
     arr = as_rows(pair_rows, 2)
-    k = scheme._k
-    if k is None:
-        return arr.copy()
-    d = geometry.d
-    return np.column_stack([arr[:, 1] * d / k, -arr[:, 0] * d / k])
+    return np.column_stack(scheme._clarke_of(arr[:, 0], arr[:, 1], geometry.d))
 
 
 def legacy_from_lengths_rows(

@@ -300,9 +300,13 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
 
-    def test_n_max_below_3_exits_2(self, tmp_path):
+    def test_n_max_below_3_exits_2(self, tmp_path, capsys):
         geom = write_geometry(tmp_path / "g.json")
         assert main(["check", "--geometry", geom, "--n-max", "2"]) == 2
+        # above the limit: refused before the suite builds any projector
+        for n_max in ("257", "100000000"):
+            assert main(["check", "--geometry", geom, "--n-max", n_max]) == 2
+            assert "between 3 and 256" in capsys.readouterr().err
 
     def test_corrupted_geometry_rejected(self, tmp_path):
         geom = write_geometry(tmp_path / "g.json", extra={"psi": [0.0, 1.0, 2.0, 3.0]})

@@ -115,6 +115,12 @@ class TestRegularizationConfig:
                 RegularizationConfig(**{"epsilon": 1e-9, **bad})
         with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
             RegularizationConfig.default(geometry4, epsilon=math.inf)
+        # epsilon * d underflows, or ln 2/(epsilon * d) overflows: name epsilon and d, not b
+        for geometry, eps in ((geometry4, 5e-324), (geometry4, 1e-310),
+                              (RobotGeometry(n=4, d=1e-300, l=0.1), None),
+                              (RobotGeometry(n=4, d=1e-320, l=0.1), None)):
+            with pytest.raises(ValueError, match=r"epsilon \* d = .* is too small"):
+                RegularizationConfig.default(geometry, epsilon=eps)
 
     def test_defaults_scale_with_geometry(self, geometry4):
         cfg = RegularizationConfig.default(geometry4)
@@ -300,10 +306,17 @@ class TestForwardKinematics:
     def test_rotation_is_special_orthogonal(self, geometry4, strategy):
         cfg = RegularizationConfig.default(geometry4)
         rng = np.random.default_rng(808)
-        for _ in range(1000):
+        # [1e-3, pi], then 0, the straight regime, the series band and past a full circle
+        phis = np.concatenate([
+            10.0 ** rng.uniform(-3.0, math.log10(math.pi), 1000),
+            [0.0], rng.uniform(0.0, cfg.epsilon, 100), rng.uniform(0.0, 1e-4, 100),
+            rng.uniform(0.0, 2.0 * math.pi + 0.5, 300),
+        ])
+        if strategy is SingularityStrategy.AVOID_STRAIGHT:
+            phis = phis[phis >= cfg.epsilon]
+        for phi in phis:
             theta = rng.uniform(-math.pi, math.pi)
-            phi = 10.0 ** rng.uniform(-3.0, math.log10(math.pi))
-            clarke = clarke_from_arc(geometry4, ArcParams(theta=theta, phi=phi))
+            clarke = clarke_from_arc(geometry4, ArcParams(theta=theta, phi=float(phi)))
             rot = forward_kinematics(geometry4, clarke, strategy, cfg).rotation
             assert float(np.max(np.abs(rot.T @ rot - np.eye(3)))) < 1e-9
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
@@ -334,8 +347,16 @@ class TestForwardKinematics:
         assert np.all(np.isfinite(pose.position))
 
     def test_rejects_wrong_shape(self, geometry4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 2 Clarke coordinates"):
             forward_kinematics(geometry4, (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="expected 2 Clarke coordinates"):
+            arc_from_clarke(geometry4, (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    @pytest.mark.parametrize("clarke", [(math.nan, 0.0), (0.0, math.inf), (1e308, 1e308)])
+    def test_rejects_non_finite_bending_angle(self, geometry4, strategy, clarke):
+        with pytest.raises(ValueError, match="bending angle .* is not finite"):
+            forward_kinematics(geometry4, clarke, strategy)
 
     def test_strategy_names_parse(self):
         assert SingularityStrategy.from_name("Analytic-Branch") is (

@@ -59,7 +59,7 @@ class TestLengths:
             )
 
     def test_length_mismatch(self, geometry4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 4 lengths"):
             lengths_to_displacements(geometry4, [0.1, 0.1, 0.1])
 
     def test_constant_offset_invisible_in_clarke(self, geometry4):
@@ -99,6 +99,11 @@ class TestFromClarke:
         with pytest.raises(SchemeMismatchError):
             legacy_from_clarke(LegacyScheme.DIAN3, geometry4, (0.0, 0.0))
 
+    @pytest.mark.parametrize("clarke", [(1.0, 2.0, 3.0), (1.0,), 1.0, [[1.0, 2.0]]])
+    def test_rejects_wrong_shape(self, geometry4, clarke):
+        with pytest.raises(ValueError, match="expected 2 Clarke coordinates"):
+            legacy_from_clarke(LegacyScheme.ALLEN4, geometry4, clarke)
+
 
 class TestToClarke:
     def test_dellasantina4(self, geometry4):
@@ -127,6 +132,11 @@ class TestToClarke:
         pair = LegacyPair(LegacyScheme.ALLEN4, 0.1, 0.2)
         with pytest.raises(SchemeMismatchError):
             clarke_from_legacy(LegacyScheme.DELLA_SANTINA4, geometry4, pair)
+
+    @pytest.mark.parametrize("pair", [(1.0, 2.0, 3.0), (1.0,), 1.0, [[1.0, 2.0]]])
+    def test_rejects_wrong_shape(self, geometry4, pair):
+        with pytest.raises(ValueError, match="expected 2 allen4 parameters"):
+            clarke_from_legacy(LegacyScheme.ALLEN4, geometry4, pair)
 
 
 class TestFromDisplacements:
