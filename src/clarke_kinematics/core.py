@@ -173,7 +173,8 @@ def forward_transform(geometry: RobotGeometry, rho) -> ClarkeCoords:
     Linear and time-invariant: applied to displacement rates it yields
     Clarke-coordinate rates.
     """
-    re, im = geometry.clarke.forward @ as_vector(rho, geometry.n, "joint displacements")
+    arr = as_vector(rho, geometry.n, "joint displacements")
+    re, im = geometry.clarke.forward @ arr
     return ClarkeCoords(float(re), float(im))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import joint_space, legacy
-from .core import RobotGeometry, build_clarke_matrix, forward_transform_rows, projector
+from .core import RobotGeometry, build_clarke_matrix, forward_transform, projector
 
 DEFAULT_IDENTITY_TOL = 1e-12
 RANK_THRESHOLD = 1e-9
@@ -101,10 +101,13 @@ def _scheme_equivalence_check(
 ) -> IdentityCheck:
     """Joint-value formulas vs. Clarke route, relative over a random batch."""
     rhos = joint_space.sample(geometry, phi_max=math.pi, count=samples, seed=_SAMPLE_SEED)
-    direct = np.column_stack(legacy._pair_from_displacements(scheme, rhos.T, geometry.d))
-    via = legacy.legacy_from_clarke_rows(scheme, geometry, forward_transform_rows(geometry, rhos))
-    worst = float(np.max(np.abs(direct - via)))
-    scale = float(np.max(np.abs(via)))
+    worst = 0.0
+    scale = 0.0
+    for rho in rhos:
+        direct = legacy.legacy_from_displacements(scheme, geometry, rho)
+        via = legacy.legacy_from_clarke(scheme, geometry, forward_transform(geometry, rho))
+        worst = max(worst, abs(direct.p1 - via.p1), abs(direct.p2 - via.p2))
+        scale = max(scale, abs(via.p1), abs(via.p2))
     residual = worst / scale if scale > 0.0 else worst
     return _check(f"scheme_equivalence_{scheme.value}", geometry.n, residual, tol)
 

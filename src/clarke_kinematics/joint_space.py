@@ -68,7 +68,8 @@ def project(geometry: RobotGeometry, rho) -> np.ndarray:
     component invisible to the forward transform (in particular any constant
     offset) is discarded, so the result always sums to zero.
     """
-    return projector(geometry) @ as_vector(rho, geometry.n, "joint displacements")
+    arr = as_vector(rho, geometry.n, "joint displacements")
+    return projector(geometry) @ arr
 
 
 def sample(

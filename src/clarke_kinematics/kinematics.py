@@ -162,10 +162,10 @@ class RegularizationConfig:
         eps = 1e-9 * geometry.d if epsilon is None else epsilon
         scale = eps * geometry.d
         b = math.log(2.0) / scale if scale > 0.0 else math.inf
-        if math.isinf(b):
+        if not 0.0 < b < math.inf:
             raise ValueError(
-                f"epsilon * d = {eps} * {geometry.d} is too small: "
-                "the decay rate ln(2)/(epsilon * d) is not finite"
+                f"epsilon * d = {eps} * {geometry.d} is out of range: "
+                f"the decay rate ln(2)/(epsilon * d) = {b} is not positive and finite"
             )
         return cls(epsilon=eps, a=0.0, b=b)
 
@@ -304,15 +304,20 @@ def forward_kinematics(
     re, im = as_vector(clarke, 2, "Clarke coordinates").tolist()
     if config is None:
         config = RegularizationConfig.default(geometry)
-    u, v = re / geometry.d, im / geometry.d
+
+    u = re / geometry.d
+    v = im / geometry.d
     phi = math.hypot(u, v)
+
     if strategy is SingularityStrategy.AVOID_STRAIGHT and phi < config.epsilon:
         raise StraightConfigurationError.below(phi, config.epsilon)
+
     phi_eff = _effective_angle(geometry, re, im, phi, strategy, config, _FLOAT_OPS)
     if not math.isfinite(phi_eff):
         raise ValueError(
             f"bending angle {phi_eff} of Clarke coordinates ({re}, {im}) is not finite"
         )
+
     terms = _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, _FLOAT_OPS)
     return Pose(position=np.array(terms[:3]), rotation=np.array(terms[3:]).reshape(3, 3))
 
@@ -337,14 +342,17 @@ def forward_kinematics_rows(
     if config is None:
         config = RegularizationConfig.default(geometry)
     re, im = arr[:, 0], arr[:, 1]
-    u, v = re / geometry.d, im / geometry.d
+    u = re / geometry.d
+    v = im / geometry.d
     phi = np.fromiter(map(math.hypot, u.tolist(), v.tolist()), float, len(arr))
     straight = phi < config.epsilon
+
     if strategy is SingularityStrategy.AVOID_STRAIGHT and straight.any():
         row = int(straight.argmax())
         exc = StraightConfigurationError.below(float(phi[row]), config.epsilon)
         exc.row = row
         raise exc
+
     with np.errstate(all="ignore"):
         phi_eff = _effective_angle(geometry, re, im, phi, strategy, config, _ARRAY_OPS)
         terms = _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, _ARRAY_OPS)

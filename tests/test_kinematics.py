@@ -115,11 +115,13 @@ class TestRegularizationConfig:
                 RegularizationConfig(**{"epsilon": 1e-9, **bad})
         with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
             RegularizationConfig.default(geometry4, epsilon=math.inf)
-        # epsilon * d underflows, or ln 2/(epsilon * d) overflows: name epsilon and d, not b
+        # ln 2/(epsilon * d) overflows or underflows to 0: name epsilon and d, not b
         for geometry, eps in ((geometry4, 5e-324), (geometry4, 1e-310),
                               (RobotGeometry(n=4, d=1e-300, l=0.1), None),
-                              (RobotGeometry(n=4, d=1e-320, l=0.1), None)):
-            with pytest.raises(ValueError, match=r"epsilon \* d = .* is too small"):
+                              (RobotGeometry(n=4, d=1e-320, l=0.1), None),
+                              (RobotGeometry(n=4, d=1e160, l=0.1), None),
+                              (RobotGeometry(n=4, d=10.0, l=0.1), 1e308)):
+            with pytest.raises(ValueError, match=r"epsilon \* d = .* is out of range"):
                 RegularizationConfig.default(geometry, epsilon=eps)
 
     def test_defaults_scale_with_geometry(self, geometry4):
