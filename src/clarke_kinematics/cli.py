@@ -24,6 +24,7 @@ from .core import (
     RobotGeometry,
     forward_transform_rows,
     inverse_transform_rows,
+    positive_finite,
 )
 from .kinematics import (
     RegularizationConfig,
@@ -57,7 +58,7 @@ def load_geometry(path: str) -> RobotGeometry:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read geometry file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
         raise CliError(EXIT_USAGE, f"geometry file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise CliError(EXIT_USAGE, f"geometry file {path} must hold a JSON object")
@@ -71,12 +72,9 @@ def load_geometry(path: str) -> RobotGeometry:
         raise CliError(
             EXIT_USAGE, f"geometry file {path} is missing keys: {', '.join(missing)}"
         )
-    n = data["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise CliError(EXIT_USAGE, f"geometry key n must be an integer, got {n!r}")
     try:
-        return RobotGeometry(n=n, d=float(data["d"]), l=float(data["l"]))
-    except (TypeError, ValueError) as exc:
+        return RobotGeometry(n=data["n"], d=data["d"], l=data["l"])
+    except ValueError as exc:
         raise CliError(EXIT_USAGE, f"invalid geometry in {path}: {exc}")
 
 
@@ -97,7 +95,7 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {exc}")
     if not lines:
         raise CliError(EXIT_USAGE, f"{path} is empty, expected a header row")
@@ -255,8 +253,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _identity_tolerance(flag_value: float | None) -> float:
+    """--tol, else CLARKE_KIN_TOL, else the default; ValueError unless positive and finite."""
     if flag_value is not None:
-        return flag_value
+        return positive_finite(flag_value, "--tol")
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
         return identities.DEFAULT_IDENTITY_TOL
@@ -264,9 +263,7 @@ def _identity_tolerance(flag_value: float | None) -> float:
         tol = float(raw)
     except ValueError:
         raise CliError(EXIT_USAGE, f"{TOL_ENV_VAR}={raw!r} is not a number")
-    if not tol > 0.0:
-        raise CliError(EXIT_USAGE, f"{TOL_ENV_VAR} must be positive, got {raw!r}")
-    return tol
+    return positive_finite(tol, TOL_ENV_VAR)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -275,9 +272,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise CliError(
             EXIT_USAGE, f"--n-max must be between 3 and {_N_MAX_LIMIT}, got {args.n_max}"
         )
-    if not args.membership_tol > 0.0:
-        raise CliError(EXIT_USAGE, f"--membership-tol must be positive, got {args.membership_tol}")
-    tol = _identity_tolerance(args.tol)
+    try:
+        positive_finite(args.membership_tol, "--membership-tol")
+        tol = _identity_tolerance(args.tol)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc))
     results = identities.run_identity_suite(
         d=geometry.d, l=geometry.l, n_max=args.n_max, tol=tol
     )

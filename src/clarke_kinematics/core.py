@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 PSI_TOLERANCE = 1e-12
+_REAL = (int, float, np.integer, np.floating)
 
 
 class GeometryError(ValueError):
@@ -52,12 +53,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _positive_finite(value) -> bool:
-    """Whether value is a real number in (0, inf); False for non-numbers such as strings."""
+def positive_finite(value, what: str, error: type[ValueError] = ValueError):
+    """value if it is a real number in (0, inf), else raises error naming it `what`.
+
+    Bools, strings, NaN, +-inf and integers too large for a float are refused.
+    """
     try:
-        return math.isfinite(value) and value > 0.0
-    except TypeError:
-        return False
+        if isinstance(value, _REAL) and type(value) is not bool and 0.0 < float(value) < math.inf:
+            return value
+    except OverflowError:
+        pass
+    raise error(f"{what} must be positive and finite, got {value!r}")
 
 
 def symmetric_joint_angles(n: int) -> np.ndarray:
@@ -85,10 +91,8 @@ class RobotGeometry:
             raise GeometryError(f"joint count must be an integer, got {self.n!r}")
         if self.n < 3:
             raise GeometryError(f"at least 3 joints required, got n={self.n}")
-        if not _positive_finite(self.d):
-            raise GeometryError(f"offset distance must be positive and finite, got d={self.d!r}")
-        if not _positive_finite(self.l):
-            raise GeometryError(f"segment length must be positive and finite, got l={self.l!r}")
+        positive_finite(self.d, "offset distance d", GeometryError)
+        positive_finite(self.l, "segment length l", GeometryError)
         expected = symmetric_joint_angles(self.n)
         if self.psi is None:
             psi = expected

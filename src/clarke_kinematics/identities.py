@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import joint_space, legacy
-from .core import RobotGeometry, build_clarke_matrix, forward_transform, projector
+from .core import RobotGeometry, build_clarke_matrix, forward_transform, positive_finite, projector
 
 DEFAULT_IDENTITY_TOL = 1e-12
 RANK_THRESHOLD = 1e-9
@@ -123,6 +123,7 @@ def run_identity_suite(
     """Run the identity suite for every joint count in n_min..n_max."""
     if n_max < n_min:
         raise ValueError(f"n_max must be at least {n_min}, got {n_max}")
+    positive_finite(tol, "tolerance")
     results: list[IdentityCheck] = []
     for n in range(n_min, n_max + 1):
         results.extend(identity_checks(RobotGeometry(n=n, d=d, l=l), tol=tol, samples=samples))

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotGeometry, as_rows, as_vector, projector
+from .core import RobotGeometry, as_rows, as_vector, positive_finite, projector
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -55,8 +55,7 @@ def _inside(geometry: RobotGeometry, arr: np.ndarray, tol: float):
     The projection is a (stacked) matrix-vector product, which rounds the
     same for one vector and for a stack of rows; the maxima are exact.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    positive_finite(tol, "tolerance")
     residual = arr - (projector(geometry) @ arr[..., None])[..., 0]
     return np.abs(residual).max(axis=-1) <= tol * np.abs(arr).max(axis=-1, initial=1.0)
 
@@ -82,8 +81,7 @@ def sample(
     the (count, n) result is a valid joint-space vector.  Deterministic for
     a fixed seed.
     """
-    if not 0.0 < phi_max < np.inf:
-        raise ValueError(f"phi_max must be positive and finite, got {phi_max}")
+    positive_finite(phi_max, "phi_max")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)

@@ -20,13 +20,14 @@ displacement magnitude with a smooth decaying correction.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .core import RobotGeometry, ClarkeCoords, as_rows, as_vector
+from .core import RobotGeometry, ClarkeCoords, as_rows, as_vector, positive_finite
 
 _TAU = 2.0 * math.pi
 # below this angle the truncated series are more accurate than the closed forms
@@ -140,12 +141,10 @@ class RegularizationConfig:
     decay: str = "exponential"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        positive_finite(self.epsilon, "epsilon")
         if not math.isfinite(self.a):
             raise ValueError(f"a must be finite, got {self.a}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"b must be positive and finite, got {self.b}")
+        positive_finite(self.b, "b")
         if self.decay not in ("exponential", "mirrored_logistic"):
             raise ValueError(
                 f"decay must be 'exponential' or 'mirrored_logistic', got {self.decay!r}"
@@ -157,16 +156,11 @@ class RegularizationConfig:
     ) -> "RegularizationConfig":
         """Defaults scaled to the geometry: epsilon = 1e-9 * d, and b chosen so
         the additive term halves once rho^T rho reaches epsilon * d."""
-        if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-        eps = 1e-9 * geometry.d if epsilon is None else epsilon
+        eps = 1e-9 * geometry.d if epsilon is None else positive_finite(epsilon, "epsilon")
         scale = eps * geometry.d
         b = math.log(2.0) / scale if scale > 0.0 else math.inf
-        if not 0.0 < b < math.inf:
-            raise ValueError(
-                f"epsilon * d = {eps} * {geometry.d} is out of range: "
-                f"the decay rate ln(2)/(epsilon * d) = {b} is not positive and finite"
-            )
+        positive_finite(b, f"epsilon * d = {eps} * {geometry.d} is out of range: the decay "
+                        "rate ln(2)/(epsilon * d)")
         return cls(epsilon=eps, a=0.0, b=b)
 
     def decay_value(self, t: float) -> float:
@@ -176,6 +170,11 @@ class RegularizationConfig:
         if t > 709.0:
             return 0.0
         return 2.0 / (1.0 + math.exp(t))
+
+
+# The default config of each of the last 64 geometries (hashed by identity),
+# built once rather than on every call; the config is frozen, so it is shared.
+_default_config = functools.lru_cache(maxsize=64)(RegularizationConfig.default)
 
 
 def arc_from_clarke(geometry: RobotGeometry, clarke) -> ArcParams:
@@ -303,7 +302,7 @@ def forward_kinematics(
     """
     re, im = as_vector(clarke, 2, "Clarke coordinates").tolist()
     if config is None:
-        config = RegularizationConfig.default(geometry)
+        config = _default_config(geometry)
 
     u = re / geometry.d
     v = im / geometry.d
@@ -340,7 +339,7 @@ def forward_kinematics_rows(
     """
     arr = as_rows(clarke_rows, 2)
     if config is None:
-        config = RegularizationConfig.default(geometry)
+        config = _default_config(geometry)
     re, im = arr[:, 0], arr[:, 1]
     u = re / geometry.d
     v = im / geometry.d

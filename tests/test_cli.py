@@ -326,10 +326,36 @@ class TestCheck:
         monkeypatch.setenv("CLARKE_KIN_TOL", "1e-10")
         assert main(["check", "--geometry", geom, "--n-max", "4"]) == 0
 
-    def test_invalid_tolerance_env_exits_2(self, tmp_path, monkeypatch):
+    def test_invalid_tolerance_env_exits_2(self, tmp_path, monkeypatch, capsys):
         geom = write_geometry(tmp_path / "g.json")
-        monkeypatch.setenv("CLARKE_KIN_TOL", "banana")
-        assert main(["check", "--geometry", geom, "--n-max", "4"]) == 2
+        for raw in ("banana", "-1", "0", "nan", "inf"):
+            monkeypatch.setenv("CLARKE_KIN_TOL", raw)
+            assert main(["check", "--geometry", geom, "--n-max", "4"]) == 2
+        monkeypatch.delenv("CLARKE_KIN_TOL")
+        for raw in ("0", "-1", "nan", "inf"):
+            assert main(["check", "--geometry", geom, "--n-max", "4", "--tol", raw]) == 2
+        # refused before the suite runs: no identity table on stdout
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n,d", [(4, '"0.01"'), (4, "true"), (4, "1" + "0" * 400),
+                                     ("4.0", "0.01"), (4, "1e400"), ("1" * 5000, "0.01")])
+    def test_geometry_values_must_be_json_numbers(self, tmp_path, capsys, n, d):
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"n": {n}, "d": {d}, "l": 0.1}}')
+        assert main(["check", "--geometry", str(path), "--n-max", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_integer_geometry_values_give_the_same_bytes(self, tmp_path):
+        rows = [[1e-3, 2e-3], [0.0, 0.0], [-3e-4, 1e-9]]
+        clarke = write_csv(tmp_path / "c.csv", ["rho_re", "rho_im"], rows)
+        outputs = []
+        for d, l in ((1, 2), (1.0, 2.0)):
+            geom = write_geometry(tmp_path / "g.json", d=d, l=l)
+            out = tmp_path / f"fk{d!r}.csv"
+            assert main(["fk", "--geometry", geom, "--input", clarke,
+                         "--strategy", "adaptive-epsilon", "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_membership_failure_exits_1(self, tmp_path, capsys):
         geom = write_geometry(tmp_path / "g.json")
@@ -358,3 +384,20 @@ class TestEndToEnd:
 
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2
+
+    def test_non_utf8_files_exit_2_and_name_the_file(self, tmp_path, capsys):
+        geom = write_geometry(tmp_path / "g.json")
+        bad_geom = tmp_path / "bad.json"
+        bad_geom.write_bytes(b'{"n": 4, "d": 0.01, "l": 0.1}\xff')
+        clarke = tmp_path / "c.csv"
+        clarke.write_bytes(b"rho_re,rho_im\n0.001,0\xff\n")
+        rho = tmp_path / "rho.csv"
+        rho.write_bytes(b"rho_1,rho_2,rho_3,rho_4\n0,0,0,0\xff\n")
+        for argv, path in (
+            (["fk", "--geometry", geom, "--input", str(clarke),
+              "--output", str(tmp_path / "o.csv")], clarke),
+            (["check", "--geometry", geom, "--n-max", "4", "--membership", str(rho)], rho),
+            (["check", "--geometry", str(bad_geom), "--n-max", "4"], bad_geom),
+        ):
+            assert main(argv) == 2
+            assert str(path) in capsys.readouterr().err

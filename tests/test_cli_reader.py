@@ -142,7 +142,7 @@ def test_reader_matches_reference_and_main_never_raises(workdir, case, chunk_row
 
 @settings(max_examples=40, deadline=None)
 @given(csv_files([(3, "rho_1,rho_2,rho_3", ["check"])]),
-       st.sampled_from([None, "0", "-1", "nan", "1e-3"]))
+       st.sampled_from([None, "0", "-1", "nan", "inf", "1e-3"]))
 def test_check_membership_never_raises(workdir, case, membership_tol):
     n, header, _, text = case
     path = workdir / "member.csv"
@@ -153,5 +153,5 @@ def test_check_membership_never_raises(workdir, case, membership_tol):
         argv += ["--membership-tol", membership_tol]
     code, _ = _main(argv)
     assert code in range(5)
-    if membership_tol in ("0", "-1", "nan"):
+    if membership_tol in ("0", "-1", "nan", "inf"):
         assert code == cli.EXIT_USAGE

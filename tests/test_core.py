@@ -56,7 +56,8 @@ class TestGeometry:
 
     @pytest.mark.parametrize("d,l", [(0.0, 0.1), (-0.01, 0.1), (0.01, 0.0), (0.01, -1.0),
                                      ("0.01", 0.1), (0.01, "0.1"), (math.inf, 0.1),
-                                     (0.01, math.nan)])
+                                     (0.01, math.nan), (True, 0.1), (0.01, True),
+                                     (10**400, 0.1)])
     def test_rejects_nonpositive_dimensions(self, d, l):
         with pytest.raises(GeometryError):
             RobotGeometry(n=4, d=d, l=l)

@@ -44,8 +44,9 @@ class TestContains:
         assert contains(geometry4, np.zeros(4))
 
     def test_rejects_bad_tolerance(self, geometry4):
-        with pytest.raises(ValueError):
-            contains(geometry4, np.zeros(4), tol=0.0)
+        for tol in (0.0, -1.0, math.nan, math.inf, True, "1e-9"):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                contains(geometry4, np.zeros(4), tol=tol)
 
     def test_length_mismatch(self, geometry4):
         with pytest.raises(ValueError):
@@ -139,7 +140,7 @@ class TestSample:
     def test_rejects_bad_arguments(self, geometry4):
         with pytest.raises(ValueError):
             sample(geometry4, 0.0, 10, seed=1)
-        for phi_max in (math.inf, math.nan):
+        for phi_max in (math.inf, math.nan, True, "1"):
             with pytest.raises(ValueError):
                 sample(geometry4, phi_max, 10, seed=1)
         with pytest.raises(ValueError):

@@ -110,11 +110,15 @@ class TestRegularizationConfig:
             RegularizationConfig(epsilon=1e-9, b=0.0)
         with pytest.raises(ValueError):
             RegularizationConfig(epsilon=1e-9, decay="linear")
-        for bad in ({"epsilon": math.inf}, {"a": math.nan}, {"b": math.inf}):
+        for bad in ({"epsilon": math.inf}, {"a": math.nan}, {"b": math.inf},
+                    {"epsilon": True}, {"epsilon": "1e-9"}, {"b": True}):
             with pytest.raises(ValueError):
                 RegularizationConfig(**{"epsilon": 1e-9, **bad})
         with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
             RegularizationConfig.default(geometry4, epsilon=math.inf)
+        for eps in (True, "1e-9"):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                RegularizationConfig.default(geometry4, epsilon=eps)
         # ln 2/(epsilon * d) overflows or underflows to 0: name epsilon and d, not b
         for geometry, eps in ((geometry4, 5e-324), (geometry4, 1e-310),
                               (RobotGeometry(n=4, d=1e-300, l=0.1), None),
@@ -123,6 +127,14 @@ class TestRegularizationConfig:
                               (RobotGeometry(n=4, d=10.0, l=0.1), 1e308)):
             with pytest.raises(ValueError, match=r"epsilon \* d = .* is out of range"):
                 RegularizationConfig.default(geometry, epsilon=eps)
+
+    def test_default_built_once_per_geometry(self):
+        geometry = RobotGeometry(n=4, d=0.01, l=0.1)
+        before = kinematics._default_config.cache_info().misses
+        for strategy in ALL_STRATEGIES:
+            forward_kinematics(geometry, [1e-3, 0.0], strategy)
+            kinematics.forward_kinematics_rows(geometry, [[1e-3, 0.0]], strategy)
+        assert kinematics._default_config.cache_info().misses == before + 1
 
     def test_defaults_scale_with_geometry(self, geometry4):
         cfg = RegularizationConfig.default(geometry4)
