@@ -26,6 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 PSI_TOLERANCE = 1e-12
+# The most joints a geometry may have: its cached n x n projector then takes
+# at most 8 MB, and no array is built for a larger n.
+MAX_JOINTS = 1024
 _REAL = (int, float, np.integer, np.floating)
 
 
@@ -53,17 +56,44 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real_between(value, low: float, high: float) -> bool:
+    """Whether value is a real number, not a bool, with low < value < high.
+
+    Strings, NaN and integers too large for a float are not.
+    """
+    if type(value) is float:  # the common case, without the type tests below
+        return low < value < high
+    try:
+        return isinstance(value, _REAL) and type(value) is not bool and low < float(value) < high
+    except OverflowError:
+        return False
+
+
 def positive_finite(value, what: str, error: type[ValueError] = ValueError):
     """value if it is a real number in (0, inf), else raises error naming it `what`.
 
     Bools, strings, NaN, +-inf and integers too large for a float are refused.
     """
-    try:
-        if isinstance(value, _REAL) and type(value) is not bool and 0.0 < float(value) < math.inf:
-            return value
-    except OverflowError:
-        pass
+    if _real_between(value, 0.0, math.inf):
+        return value
     raise error(f"{what} must be positive and finite, got {value!r}")
+
+
+def finite_real(value, what: str):
+    """value if it is a finite real number (zero and negatives included), else
+    raises ValueError naming it `what`; refuses what positive_finite refuses."""
+    if _real_between(value, -math.inf, math.inf):
+        return value
+    raise ValueError(f"{what} must be a finite real number, got {value!r}")
+
+
+def all_finite(values: list[float]) -> bool:
+    """Whether every float in values is finite.
+
+    Their sum is finite exactly when they are, unless it overflows; only then
+    are they tested one by one.
+    """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 def symmetric_joint_angles(n: int) -> np.ndarray:
@@ -75,7 +105,7 @@ def symmetric_joint_angles(n: int) -> np.ndarray:
 class RobotGeometry:
     """Kinematic design parameters of a single segment.
 
-    n     number of displacement-actuated joints (n >= 3)
+    n     number of displacement-actuated joints (3 <= n <= MAX_JOINTS)
     d     offset distance of the joints from the center line [m]
     l     segment length [m]
     psi   joint angles [rad]; derived as 2*pi*(i-1)/n when omitted
@@ -91,6 +121,8 @@ class RobotGeometry:
             raise GeometryError(f"joint count must be an integer, got {self.n!r}")
         if self.n < 3:
             raise GeometryError(f"at least 3 joints required, got n={self.n}")
+        if self.n > MAX_JOINTS:
+            raise GeometryError(f"at most {MAX_JOINTS} joints supported, got n={self.n}")
         positive_finite(self.d, "offset distance d", GeometryError)
         positive_finite(self.l, "segment length l", GeometryError)
         expected = symmetric_joint_angles(self.n)
@@ -163,6 +195,20 @@ def as_vector(values, size: int, what: str) -> np.ndarray:
     return arr
 
 
+def as_pair(values, what: str) -> tuple[float, float]:
+    """Validate and convert a 2-vector to two Python floats.
+
+    A tuple (a ClarkeCoords included) of two exact floats is taken as it is;
+    anything else goes through as_vector(values, 2, what), so it gets the same
+    values and the same errors.
+    """
+    if type(values) is ClarkeCoords or type(values) is tuple:
+        if len(values) == 2 and type(values[0]) is float and type(values[1]) is float:
+            return values
+    re, im = as_vector(values, 2, what).tolist()
+    return re, im
+
+
 def as_rows(rows, width: int) -> np.ndarray:
     """Validate and convert an (N, width) table of rows to a float array."""
     arr = np.asarray(rows, dtype=float)
@@ -175,10 +221,18 @@ def forward_transform(geometry: RobotGeometry, rho) -> ClarkeCoords:
     """Map joint displacements to Clarke coordinates, rho_clarke = M_P rho.
 
     Linear and time-invariant: applied to displacement rates it yields
-    Clarke-coordinate rates.
+    Clarke-coordinate rates.  Raises ValueError when rho is not finite or the
+    result overflows.
     """
     arr = as_vector(rho, geometry.n, "joint displacements")
-    re, im = geometry.clarke.forward @ arr
+    values = arr.tolist()
+    if not all_finite(values):  # before the product, which would warn of inf * 0
+        raise ValueError(f"joint displacements must be finite, got {values}")
+    re, im = (geometry.clarke.forward @ arr).tolist()
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(
+            f"joint displacements {values} give non-finite Clarke coordinates ({re}, {im})"
+        )
     return ClarkeCoords(float(re), float(im))
 
 
@@ -187,8 +241,18 @@ def inverse_transform(geometry: RobotGeometry, clarke) -> np.ndarray:
 
     The result lies in the joint space by construction, so its entries sum
     to zero.  Applied to Clarke-coordinate rates it yields displacement rates.
+    Raises ValueError when clarke is not finite or the result overflows.
     """
-    return geometry.clarke.right_inverse @ as_vector(clarke, 2, "Clarke coordinates")
+    re, im = as_pair(clarke, "Clarke coordinates")
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"Clarke coordinates must be finite, got ({re}, {im})")
+    rho = geometry.clarke.right_inverse @ np.array((re, im))
+    # |M_P^R| <= 1 + 2**-51 entrywise, so no entry of rho overflows below this
+    if abs(re) + abs(im) > 2.0**1023 and not np.isfinite(rho).all():
+        raise ValueError(
+            f"Clarke coordinates ({re}, {im}) give non-finite joint displacements"
+        )
+    return rho
 
 
 def forward_transform_rows(geometry: RobotGeometry, rho_rows) -> np.ndarray:

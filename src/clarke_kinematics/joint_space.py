@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotGeometry, as_rows, as_vector, positive_finite, projector
+from .core import RobotGeometry, all_finite, as_rows, as_vector, positive_finite, projector
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -33,9 +33,19 @@ def basis(geometry: RobotGeometry) -> JointSpaceBasis:
 def contains(geometry: RobotGeometry, rho, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Whether rho lies in the joint space, by projector residual.
 
-    True iff ||rho - P rho||_inf <= tol * max(1, ||rho||_inf).
+    True iff ||rho - P rho||_inf <= tol * max(1, ||rho||_inf); False when rho
+    is not finite.
     """
-    return bool(_inside(geometry, as_vector(rho, geometry.n, "joint displacements"), tol))
+    arr = as_vector(rho, geometry.n, "joint displacements")
+    positive_finite(tol, "tolerance")
+    values = arr.tolist()
+    if not all_finite(values):  # contains_rows finds a NaN residual there
+        return False
+    # float(tol): a float64 product, as in contains_rows, whatever tol's type
+    bound = float(tol) * max(1.0, max(map(abs, values)))
+    # every |residual| within the bound, so that a NaN residual (an overflow)
+    # gives False, as in contains_rows
+    return all(map(bound.__ge__, map(abs, _residual(geometry, arr).tolist())))
 
 
 def contains_rows(
@@ -43,21 +53,24 @@ def contains_rows(
 ) -> np.ndarray:
     """Joint-space membership of each displacement row of an (N, n) array.
 
-    The array form of contains, bitwise equal to the scalar form on every
-    row: both run _inside.
+    The array form of contains, equal to the scalar form on every row: both
+    take the residual from _residual, and the maxima and comparisons are
+    exact.  A row with NaN or +-inf has a NaN residual, so it is not a member.
     """
-    return _inside(geometry, as_rows(rho_rows, geometry.n), tol)
+    arr = as_rows(rho_rows, geometry.n)
+    positive_finite(tol, "tolerance")
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = _residual(geometry, arr)
+    return np.abs(residual).max(axis=-1) <= tol * np.abs(arr).max(axis=-1, initial=1.0)
 
 
-def _inside(geometry: RobotGeometry, arr: np.ndarray, tol: float):
-    """The residual test of contains for each displacement vector along arr's last axis.
+def _residual(geometry: RobotGeometry, arr: np.ndarray) -> np.ndarray:
+    """rho - P rho for each displacement vector along arr's last axis.
 
     The projection is a (stacked) matrix-vector product, which rounds the
-    same for one vector and for a stack of rows; the maxima are exact.
+    same for one vector and for a stack of rows.
     """
-    positive_finite(tol, "tolerance")
-    residual = arr - (projector(geometry) @ arr[..., None])[..., 0]
-    return np.abs(residual).max(axis=-1) <= tol * np.abs(arr).max(axis=-1, initial=1.0)
+    return arr - (projector(geometry) @ arr[..., None])[..., 0]
 
 
 def project(geometry: RobotGeometry, rho) -> np.ndarray:

@@ -27,7 +27,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import RobotGeometry, ClarkeCoords, as_rows, as_vector, positive_finite
+from .core import (
+    RobotGeometry,
+    ClarkeCoords,
+    as_pair,
+    as_rows,
+    as_vector,
+    finite_real,
+    positive_finite,
+)
 
 _TAU = 2.0 * math.pi
 # below this angle the truncated series are more accurate than the closed forms
@@ -113,6 +121,19 @@ class Pose:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "rotation", rot)
 
+    @classmethod
+    def _of_terms(cls, terms) -> "Pose":
+        """The pose of the 12 floats x, y, z, r11, ..., r33, without validating again.
+
+        position and rotation are read-only views of one array of the terms.
+        """
+        flat = np.array(terms)
+        flat.flags.writeable = False
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "position", flat[:3])
+        object.__setattr__(pose, "rotation", flat[3:].reshape(3, 3))
+        return pose
+
     def compose(self, other: "Pose") -> "Pose":
         """Pose of `other` expressed in this pose's base frame (segment chaining)."""
         return Pose(
@@ -142,8 +163,7 @@ class RegularizationConfig:
 
     def __post_init__(self) -> None:
         positive_finite(self.epsilon, "epsilon")
-        if not math.isfinite(self.a):
-            raise ValueError(f"a must be finite, got {self.a}")
+        finite_real(self.a, "a")
         positive_finite(self.b, "b")
         if self.decay not in ("exponential", "mirrored_logistic"):
             raise ValueError(
@@ -184,7 +204,7 @@ def arc_from_clarke(geometry: RobotGeometry, clarke) -> ArcParams:
     in the straight configuration.  Valid with or without the constant
     curvature assumption; kappa = phi/l is meaningful only with it.
     """
-    re, im = as_vector(clarke, 2, "Clarke coordinates").tolist()
+    re, im = as_pair(clarke, "Clarke coordinates")
     phi = math.hypot(re, im) / geometry.d
     theta = math.atan2(im, re) if phi > 0.0 else 0.0
     return ArcParams(theta=theta, phi=phi, kappa=phi / geometry.l)
@@ -300,7 +320,7 @@ def forward_kinematics(
     rho = inverse_transform(clarke) without building rho; its effective
     angle is within 4 * 2**-52 relative of the one computed through rho.
     """
-    re, im = as_vector(clarke, 2, "Clarke coordinates").tolist()
+    re, im = as_pair(clarke, "Clarke coordinates")
     if config is None:
         config = _default_config(geometry)
 
@@ -318,7 +338,7 @@ def forward_kinematics(
         )
 
     terms = _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, _FLOAT_OPS)
-    return Pose(position=np.array(terms[:3]), rotation=np.array(terms[3:]).reshape(3, 3))
+    return Pose._of_terms(terms)
 
 
 def forward_kinematics_rows(

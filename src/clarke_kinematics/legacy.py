@@ -29,6 +29,7 @@ import numpy as np
 from .core import (
     ClarkeCoords,
     RobotGeometry,
+    as_pair,
     as_rows,
     as_vector,
     forward_transform,
@@ -110,10 +111,17 @@ def displacements_to_lengths(geometry: RobotGeometry, rho) -> np.ndarray:
 def legacy_from_clarke(
     scheme: LegacyScheme, geometry: RobotGeometry, clarke
 ) -> LegacyPair:
-    """Convert Clarke coordinates to the scheme's parameter pair."""
+    """Convert Clarke coordinates to the scheme's parameter pair.
+
+    Raises ValueError when clarke is not finite or the pair overflows.
+    """
     _check_scheme(scheme, geometry)
-    re, im = as_vector(clarke, 2, "Clarke coordinates").tolist()
-    return LegacyPair(scheme, *scheme._pair_of(re, im, geometry.d))
+    re, im = as_pair(clarke, "Clarke coordinates")
+    p1, p2 = scheme._pair_of(re, im, geometry.d)
+    if not (math.isfinite(p1) and math.isfinite(p2)):
+        raise ValueError(f"Clarke coordinates ({re}, {im}) give non-finite "
+                         f"{scheme.value} parameters ({p1}, {p2})")
+    return LegacyPair(scheme, p1, p2)
 
 
 def clarke_from_legacy(
@@ -123,6 +131,7 @@ def clarke_from_legacy(
 
     Exact inverse of legacy_from_clarke.  A tagged LegacyPair is checked
     against the requested scheme; a plain (p1, p2) sequence is trusted.
+    Raises ValueError when the pair is not finite or the result overflows.
     """
     _check_scheme(scheme, geometry)
     if isinstance(pair, LegacyPair):
@@ -132,8 +141,12 @@ def clarke_from_legacy(
             )
         p1, p2 = pair.p1, pair.p2
     else:
-        p1, p2 = as_vector(pair, 2, f"{scheme.value} parameters").tolist()
-    return ClarkeCoords(*scheme._clarke_of(p1, p2, geometry.d))
+        p1, p2 = as_pair(pair, f"{scheme.value} parameters")
+    re, im = scheme._clarke_of(p1, p2, geometry.d)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"{scheme.value} parameters ({p1}, {p2}) give non-finite "
+                         f"Clarke coordinates ({re}, {im})")
+    return ClarkeCoords(re, im)
 
 
 def legacy_from_displacements(

@@ -135,10 +135,15 @@ def test_transform_rows(geometry, data):
 @SETTINGS
 @given(geometries, st.data(), st.sampled_from([1e-9, 1e-3]))
 def test_contains_rows(geometry, data, tol):
-    # rows in the joint space, the same rows nudged off it, and arbitrary rows
+    # rows in the joint space, the same rows nudged off it, arbitrary rows, and
+    # rows with NaN and +-inf among finite values
     inside = inverse_transform_rows(geometry, np.array(data.draw(table(2))))
     nudged = inside + data.draw(st.sampled_from([1e-12, 1e-6, 1.0])) * np.arange(geometry.n)
-    rho = np.vstack([inside, nudged, np.array(data.draw(table(geometry.n)))])
+    non_finite = st.lists(st.one_of(values, st.sampled_from([math.nan, math.inf, -math.inf])),
+                          min_size=geometry.n, max_size=geometry.n)
+    rho = np.vstack([inside, nudged, np.array(data.draw(table(geometry.n))),
+                     np.array(data.draw(st.lists(non_finite, min_size=1, max_size=10))),
+                     np.full((3, geometry.n), [[math.nan], [math.inf], [-math.inf]])])
     np.testing.assert_array_equal(contains_rows(geometry, rho, tol),
                                   [contains(geometry, row, tol) for row in rho])
 

@@ -345,6 +345,15 @@ class TestCheck:
         assert main(["check", "--geometry", str(path), "--n-max", "4"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_joint_count_above_the_cap_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 100000000000000000000, "d": 0.01, "l": 0.1}')
+        assert main(["check", "--geometry", str(path), "--n-max", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid geometry in {path}: at most 1024 joints supported, "
+            "got n=100000000000000000000\n"
+        )
+
     def test_integer_geometry_values_give_the_same_bytes(self, tmp_path):
         rows = [[1e-3, 2e-3], [0.0, 0.0], [-3e-4, 1e-9]]
         clarke = write_csv(tmp_path / "c.csv", ["rho_re", "rho_im"], rows)

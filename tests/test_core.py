@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clarke_kinematics import (
+    ClarkeCoords,
     GeometryError,
     NonSymmetricJointsError,
     RobotGeometry,
@@ -16,6 +18,7 @@ from clarke_kinematics import (
     projector,
     symmetric_joint_angles,
 )
+from clarke_kinematics.core import MAX_JOINTS, as_pair, as_vector
 from conftest import assert_close
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -61,6 +64,13 @@ class TestGeometry:
     def test_rejects_nonpositive_dimensions(self, d, l):
         with pytest.raises(GeometryError):
             RobotGeometry(n=4, d=d, l=l)
+
+    @pytest.mark.parametrize("n", [MAX_JOINTS + 1, 10**9, 10**20])
+    def test_rejects_more_than_max_joints(self, n):
+        # refused before psi is built, so none of these allocates anything
+        with pytest.raises(GeometryError, match=f"at most 1024 joints supported, got n={n}$"):
+            RobotGeometry(n=n, d=0.01, l=0.1)
+        assert RobotGeometry(n=MAX_JOINTS, d=0.01, l=0.1).psi.shape == (1024,)
 
     def test_rejects_non_integer_count(self):
         with pytest.raises(GeometryError):
@@ -169,6 +179,23 @@ class TestForwardTransform:
         assert_close(shifted, np.asarray(forward_transform(geometry4, rho)), rtol=1e-10)
 
 
+    @pytest.mark.parametrize("rho", [[math.inf, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0, 0.0],
+                                     [0.0, 0.0, 0.0, -math.inf]])
+    def test_rejects_non_finite(self, geometry4, rho):
+        with pytest.raises(ValueError, match=re.escape(f"joint displacements must be finite, got {rho}")):
+            forward_transform(geometry4, rho)
+
+    def test_rejects_overflow_only(self, geometry3):
+        # the sum of these values overflows, but every value and the result are finite
+        assert all(map(math.isfinite, forward_transform(geometry3, [1e308, 1e308, -1e308])))
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError,
+            match=re.escape("joint displacements [1.5e+308, -1.5e+308, -1.5e+308] give non-finite "
+                            "Clarke coordinates (inf, "),
+        ):
+            forward_transform(geometry3, [1.5e308, -1.5e308, -1.5e308])
+
+
 class TestInverseTransform:
     def test_n4_example(self, geometry4):
         assert_close(inverse_transform(geometry4, (1.0, 0.0)), [1.0, 0.0, -1.0, 0.0])
@@ -195,6 +222,45 @@ class TestInverseTransform:
         for _ in range(20):
             clarke = rng.normal(scale=0.02, size=2)
             assert_close(forward_transform(geom, inverse_transform(geom, clarke)), clarke)
+
+
+    @pytest.mark.parametrize("clarke", [(math.inf, 0.0), (0.0, math.nan),
+                                        ClarkeCoords(-math.inf, math.inf), [math.nan, 1.0]])
+    def test_rejects_non_finite(self, geometry4, clarke):
+        message = f"Clarke coordinates must be finite, got ({clarke[0]}, {clarke[1]})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            inverse_transform(geometry4, clarke)
+
+    def test_rejects_overflow_only(self, geometry4):
+        # |re| + |im| overflows, but no entry of the result does
+        assert np.isfinite(inverse_transform(geometry4, (1e308, 1e308))).all()
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=re.escape("Clarke coordinates (1.5e+308, 1.5e+308) give non-finite")
+        ):
+            inverse_transform(RobotGeometry(n=8, d=0.01, l=0.1), (1.5e308, 1.5e308))
+
+
+class FloatSubclass(float):
+    pass
+
+
+class TestAsPair:
+    @pytest.mark.parametrize("values", [
+        ClarkeCoords(1e-3, -0.0), (1e-3, math.nan), [1e-3, 2e-3], np.array([1e-3, -2e-3]),
+        (np.float64(1e-3), np.float64(2e-3)), (1, -2), (True, False), (FloatSubclass(0.5), 2.0),
+        ("1e-3", "2"),
+        # the wrong shapes of test_rejects_wrong_shape, and strings
+        (1.0, 2.0, 3.0), (1.0,), 1.0, [[1.0, 2.0]], "12", ("a", "b"),
+    ])
+    def test_same_floats_or_error_as_as_vector(self, values):
+        def outcome(convert):
+            try:
+                pair = convert(values, "Clarke coordinates")
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return [(type(v), v.hex()) for v in pair]
+
+        assert outcome(as_pair) == outcome(lambda v, what: as_vector(v, 2, what).tolist())
 
 
 class TestProjector:

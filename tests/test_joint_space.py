@@ -43,6 +43,11 @@ class TestContains:
     def test_origin_is_member(self, geometry4):
         assert contains(geometry4, np.zeros(4))
 
+    @pytest.mark.parametrize("rho", [[math.nan, 0.0, 0.0, 0.0], [0.0, math.inf, 0.0, -math.inf],
+                                     [0.0, 0.0, 0.0, -math.inf]])
+    def test_non_finite_vector_is_not(self, geometry4, rho):
+        assert contains(geometry4, rho) is False
+
     def test_rejects_bad_tolerance(self, geometry4):
         for tol in (0.0, -1.0, math.nan, math.inf, True, "1e-9"):
             with pytest.raises(ValueError, match="tolerance must be positive and finite"):

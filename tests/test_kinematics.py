@@ -114,6 +114,9 @@ class TestRegularizationConfig:
                     {"epsilon": True}, {"epsilon": "1e-9"}, {"b": True}):
             with pytest.raises(ValueError):
                 RegularizationConfig(**{"epsilon": 1e-9, **bad})
+        for a in (True, "0", 10**400, math.inf):
+            with pytest.raises(ValueError, match=f"^a must be a finite real number, got {a!r}$"):
+                RegularizationConfig(epsilon=1e-9, a=a)
         with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
             RegularizationConfig.default(geometry4, epsilon=math.inf)
         for eps in (True, "1e-9"):
@@ -371,6 +374,30 @@ class TestForwardKinematics:
     def test_rejects_non_finite_bending_angle(self, geometry4, strategy, clarke):
         with pytest.raises(ValueError, match="bending angle .* is not finite"):
             forward_kinematics(geometry4, clarke, strategy)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_pose_is_read_only_views_of_one_array(self, geometry4, strategy):
+        cfg = RegularizationConfig.default(geometry4)
+        rng = np.random.default_rng(909)
+        # 0, the straight regime, the series band and bends past a full circle
+        phis = np.concatenate([[0.0], rng.uniform(0.0, cfg.epsilon, 20),
+                               rng.uniform(0.0, 1e-4, 20), rng.uniform(0.0, 2.0 * math.pi + 0.5, 60)])
+        if strategy is SingularityStrategy.AVOID_STRAIGHT:
+            phis = phis[phis >= cfg.epsilon]
+        for phi in phis:
+            clarke = clarke_from_arc(geometry4, ArcParams(rng.uniform(-math.pi, math.pi), float(phi)))
+            pose = forward_kinematics(geometry4, clarke, strategy, cfg)
+            assert pose.position.shape == (3,) and pose.rotation.shape == (3, 3)
+            assert pose.position.base is pose.rotation.base
+            assert not pose.position.flags.writeable and not pose.rotation.flags.writeable
+            with pytest.raises(ValueError):
+                pose.position[0] = 1.0
+            # the construction through the validating Pose(...) of the same 12 terms
+            terms = kinematics.forward_kinematics_rows(geometry4, [clarke], strategy, cfg)[0]
+            built = Pose(position=np.array(terms[:3].tolist()),
+                         rotation=np.array(terms[3:].tolist()).reshape(3, 3))
+            assert pose.position.tobytes() == built.position.tobytes()
+            assert pose.rotation.tobytes() == built.rotation.tobytes()
 
     def test_strategy_names_parse(self):
         assert SingularityStrategy.from_name("Analytic-Branch") is (

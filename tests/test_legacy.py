@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ class TestFromClarke:
             legacy_from_clarke(LegacyScheme.ALLEN4, geometry4, clarke)
 
 
+    @pytest.mark.parametrize("scheme,clarke", [
+        (LegacyScheme.ALLEN4, (math.nan, 0.0)), (LegacyScheme.DELLA_SANTINA4, (0.0, math.inf)),
+        (LegacyScheme.ALLEN3, ClarkeCoords(-math.inf, 0.0)),
+        (LegacyScheme.ALLEN4, (1e308, 0.0)),  # finite, but 2 * re / d overflows
+    ])
+    def test_rejects_non_finite(self, scheme, clarke):
+        message = f"Clarke coordinates ({clarke[0]}, {clarke[1]}) give non-finite {scheme.value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            legacy_from_clarke(scheme, geometry_for(scheme), clarke)
+
+
 class TestToClarke:
     def test_dellasantina4(self, geometry4):
         out = clarke_from_legacy(LegacyScheme.DELLA_SANTINA4, geometry4, (0.003, 0.004))
@@ -137,6 +149,22 @@ class TestToClarke:
     def test_rejects_wrong_shape(self, geometry4, pair):
         with pytest.raises(ValueError, match="expected 2 allen4 parameters"):
             clarke_from_legacy(LegacyScheme.ALLEN4, geometry4, pair)
+
+
+    @pytest.mark.parametrize("scheme,pair", [
+        (LegacyScheme.ALLEN4, (math.nan, 0.0)), (LegacyScheme.DIAN3, (0.0, -math.inf)),
+        (LegacyScheme.ALLEN4, LegacyPair(LegacyScheme.ALLEN4, math.inf, 0.0)),
+    ])
+    def test_rejects_non_finite(self, scheme, pair):
+        message = f"{scheme.value} parameters ({pair[-2]}, {pair[-1]}) give non-finite Clarke"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            clarke_from_legacy(scheme, geometry_for(scheme), pair)
+
+    def test_rejects_overflow(self):
+        # finite parameters whose Clarke coordinates p * d / k overflow
+        geometry = RobotGeometry(n=4, d=1e10, l=0.1)
+        with pytest.raises(ValueError, match=re.escape("allen4 parameters (0.0, 1e+300) give")):
+            clarke_from_legacy(LegacyScheme.ALLEN4, geometry, (0.0, 1e300))
 
 
 class TestFromDisplacements:
