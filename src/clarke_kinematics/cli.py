@@ -11,6 +11,8 @@ the suite builds an n x n projector for every joint count up to it.
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import json
 import math
 import os
@@ -78,20 +80,31 @@ def load_geometry(path: str) -> RobotGeometry:
         raise CliError(EXIT_USAGE, f"invalid geometry in {path}: {exc}")
 
 
-# Rows per chunk when parsing and formatting tables: large enough that the
-# per-chunk overhead vanishes, small enough that a chunk's temporary strings
-# stay a few MB however long the file is.
+# Rows per chunk when formatting tables: large enough that the per-chunk
+# overhead vanishes, small enough that a chunk's temporary strings stay a few
+# MB however long the file is.
 _CHUNK_ROWS = 4096
+
+# A plain table: a header of printable ASCII (and tabs) after an optional
+# UTF-8 byte order mark, then a body of these bytes only.  Everything
+# _write_table and `sample` write is plain.
+_PLAIN_HEADER = bytes(range(0x20, 0x7F)) + b"\t"
+_PLAIN_BODY = b"0123456789+-.eE, \t\r\n"
+_SCAN_BYTES = 1 << 20
 
 
 def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
     """Read a CSV table into an (N, k) array, enforcing the header and finite cells.
 
     A UTF-8 byte order mark is dropped.  Blank lines are skipped and not
-    counted: messages number the data rows from 1, as _map_rows does.  Each
-    chunk of rows is parsed in one pass; a chunk that fails is parsed again
-    cell by cell, which names the first bad row and column.
+    counted: messages number the data rows from 1, as _map_rows does.  A
+    plain table streams through numpy's C text reader; any other file, and
+    any plain one that reader refuses, is parsed cell by cell, which gives
+    the same values and names the first bad row and column.
     """
+    table = _read_plain(path, expected_header)
+    if table is not None:
+        return table
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             lines = fh.read().splitlines()
@@ -107,31 +120,56 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
             f"found {','.join(header)}",
         )
     data = [line for line in lines[1:] if line.strip()]
-    k = len(header)
-    table = np.empty((len(data), k))
-    for start in range(0, len(data), _CHUNK_ROWS):
-        chunk = data[start : start + _CHUNK_ROWS]
-        block = table[start : start + len(chunk)]
-        try:
-            if any(line.count(",") != k - 1 for line in chunk):
-                raise ValueError("a row has the wrong number of cells")
-            cells = ",".join(chunk).split(",")
-            block[...] = np.fromiter(map(float, cells), float, block.size).reshape(block.shape)
-            if not np.isfinite(block).all():
-                raise ValueError("a cell is not finite")
-        except ValueError:
-            block[...] = _parse_rows(path, header, chunk, start)
+    return np.array(_parse_rows(path, header, data), dtype=float).reshape(-1, len(header))
+
+
+def _read_plain(path: str, expected_header: list[str]) -> np.ndarray | None:
+    """The table of a plain file with the expected header and finite cells, else None.
+
+    The body is checked in blocks of _SCAN_BYTES and then parsed from the
+    open file, so no copy of the whole text is held.  np.loadtxt reads the
+    lines as splitlines() would (universal newlines), skips empty ones and
+    strips spaces and tabs around each cell as float() does.  Raises and
+    prints nothing: a file it declines is left to the per-cell parser.
+    """
+    try:
+        with open(path, "rb") as raw:
+            block = raw.read(_SCAN_BYTES)
+            ends = [i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0]
+            if not ends:
+                return None
+            body_start = min(ends)
+            header = block[:body_start].removeprefix(codecs.BOM_UTF8)
+            if header.translate(None, _PLAIN_HEADER) or (
+                [c.strip() for c in header.decode("ascii").split(",")] != expected_header
+            ):
+                return None
+            block, has_data = block[body_start:], False
+            while block:
+                if block.translate(None, _PLAIN_BODY):
+                    return None
+                has_data = has_data or not block.isspace()
+                block = raw.read(_SCAN_BYTES)
+            if not has_data:  # np.loadtxt would warn of empty input
+                return None
+            raw.seek(body_start)
+            with io.TextIOWrapper(raw, encoding="ascii") as text:
+                table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError):
+        return None
+    if table.shape[1] != len(expected_header) or not np.isfinite(table).all():
+        return None
     return table
 
 
-def _parse_rows(path: str, header: list[str], lines: list[str], first: int) -> list[list[float]]:
-    """Parse data lines cell by cell; the first line is data row first + 1.
+def _parse_rows(path: str, header: list[str], lines: list[str]) -> list[list[float]]:
+    """Parse data lines cell by cell; the first line is data row 1.
 
     Raises the CliError that names the first row with the wrong cell count
     or the first cell that is not a finite float.
     """
     rows: list[list[float]] = []
-    for ridx, line in enumerate(lines, start=first + 1):
+    for ridx, line in enumerate(lines, start=1):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise CliError(

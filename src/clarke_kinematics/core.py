@@ -30,6 +30,11 @@ PSI_TOLERANCE = 1e-12
 # at most 8 MB, and no array is built for a larger n.
 MAX_JOINTS = 1024
 _REAL = (int, float, np.integer, np.floating)
+# The rows of M_P, M_P^R and P each sum to at most 2 in absolute value, so no
+# partial sum of their product with a vector whose entries are all below this
+# in magnitude overflows (nor, for P, the residual rho - P rho): the product
+# needs no guard against numpy's overflow warning.
+MATVEC_SAFE = 2.0**1022
 
 
 class GeometryError(ValueError):
@@ -226,13 +231,17 @@ def forward_transform(geometry: RobotGeometry, rho) -> ClarkeCoords:
     """
     arr = as_vector(rho, geometry.n, "joint displacements")
     values = arr.tolist()
-    if not all_finite(values):  # before the product, which would warn of inf * 0
-        raise ValueError(f"joint displacements must be finite, got {values}")
-    re, im = (geometry.clarke.forward @ arr).tolist()
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ValueError(
-            f"joint displacements {values} give non-finite Clarke coordinates ({re}, {im})"
-        )
+    if math.hypot(*values) < MATVEC_SAFE:  # finite, and no sum in the product overflows
+        re, im = (geometry.clarke.forward @ arr).tolist()
+    else:
+        if not all_finite(values):  # before the product, which would warn of inf * 0
+            raise ValueError(f"joint displacements must be finite, got {values}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = (geometry.clarke.forward @ arr).tolist()
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(
+                f"joint displacements {values} give non-finite Clarke coordinates ({re}, {im})"
+            )
     return ClarkeCoords(float(re), float(im))
 
 
@@ -244,11 +253,14 @@ def inverse_transform(geometry: RobotGeometry, clarke) -> np.ndarray:
     Raises ValueError when clarke is not finite or the result overflows.
     """
     re, im = as_pair(clarke, "Clarke coordinates")
+    # finite, and as |M_P^R| <= 1 + 2**-51 entrywise, no entry of rho overflows
+    if abs(re) + abs(im) < 2.0**1023:
+        return geometry.clarke.right_inverse @ np.array((re, im))
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(f"Clarke coordinates must be finite, got ({re}, {im})")
-    rho = geometry.clarke.right_inverse @ np.array((re, im))
-    # |M_P^R| <= 1 + 2**-51 entrywise, so no entry of rho overflows below this
-    if abs(re) + abs(im) > 2.0**1023 and not np.isfinite(rho).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = geometry.clarke.right_inverse @ np.array((re, im))
+    if not np.isfinite(rho).all():
         raise ValueError(
             f"Clarke coordinates ({re}, {im}) give non-finite joint displacements"
         )

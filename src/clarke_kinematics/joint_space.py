@@ -8,11 +8,20 @@ basis extraction, and seeded sampling all operate on that characterization.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotGeometry, all_finite, as_rows, as_vector, positive_finite, projector
+from .core import (
+    MATVEC_SAFE,
+    RobotGeometry,
+    all_finite,
+    as_rows,
+    as_vector,
+    positive_finite,
+    projector,
+)
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -41,11 +50,17 @@ def contains(geometry: RobotGeometry, rho, tol: float = DEFAULT_MEMBERSHIP_TOL) 
     values = arr.tolist()
     if not all_finite(values):  # contains_rows finds a NaN residual there
         return False
+    peak = max(map(abs, values))
     # float(tol): a float64 product, as in contains_rows, whatever tol's type
-    bound = float(tol) * max(1.0, max(map(abs, values)))
+    bound = float(tol) * max(1.0, peak)
+    if peak < MATVEC_SAFE:
+        residual = _residual(geometry, arr)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = _residual(geometry, arr)
     # every |residual| within the bound, so that a NaN residual (an overflow)
     # gives False, as in contains_rows
-    return all(map(bound.__ge__, map(abs, _residual(geometry, arr).tolist())))
+    return all(map(bound.__ge__, map(abs, residual.tolist())))
 
 
 def contains_rows(
@@ -78,10 +93,20 @@ def project(geometry: RobotGeometry, rho) -> np.ndarray:
 
     Idempotent; the identity on vectors already in the joint space.  The
     component invisible to the forward transform (in particular any constant
-    offset) is discarded, so the result always sums to zero.
+    offset) is discarded, so the result always sums to zero.  Raises
+    ValueError when rho is not finite or the projection overflows.
     """
     arr = as_vector(rho, geometry.n, "joint displacements")
-    return projector(geometry) @ arr
+    values = arr.tolist()
+    if math.hypot(*values) < MATVEC_SAFE:  # finite, and no sum in the product overflows
+        return projector(geometry) @ arr
+    if not all_finite(values):
+        raise ValueError(f"joint displacements must be finite, got {values}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = projector(geometry) @ arr
+    if not np.isfinite(out).all():
+        raise ValueError(f"joint displacements {values} give a non-finite projection")
+    return out
 
 
 def sample(

@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     RobotGeometry,
     ClarkeCoords,
+    all_finite,
     as_pair,
     as_rows,
     as_vector,
@@ -202,18 +203,33 @@ def arc_from_clarke(geometry: RobotGeometry, clarke) -> ArcParams:
 
     phi = |clarke| / d and theta = atan2(rho_im, rho_re); theta is pinned to 0
     in the straight configuration.  Valid with or without the constant
-    curvature assumption; kappa = phi/l is meaningful only with it.
+    curvature assumption; kappa = phi/l is meaningful only with it.  Raises
+    ValueError when clarke is not finite or phi or kappa overflows.
     """
     re, im = as_pair(clarke, "Clarke coordinates")
     phi = math.hypot(re, im) / geometry.d
+    kappa = phi / geometry.l
+    if not math.isfinite(kappa):  # so phi is finite too
+        raise ValueError(
+            f"Clarke coordinates ({re}, {im}) give a non-finite arc: phi {phi}, kappa {kappa}"
+        )
     theta = math.atan2(im, re) if phi > 0.0 else 0.0
-    return ArcParams(theta=theta, phi=phi, kappa=phi / geometry.l)
+    return ArcParams(theta=theta, phi=phi, kappa=kappa)
 
 
 def clarke_from_arc(geometry: RobotGeometry, arc: ArcParams) -> ClarkeCoords:
-    """Clarke coordinates (d*phi*cos(theta), d*phi*sin(theta)) of an arc state."""
+    """Clarke coordinates (d*phi*cos(theta), d*phi*sin(theta)) of an arc state.
+
+    Raises ValueError when the arc is not finite or d*phi overflows.
+    """
     m = geometry.d * arc.phi
-    return ClarkeCoords(m * math.cos(arc.theta), m * math.sin(arc.theta))
+    re, im = m * math.cos(arc.theta), m * math.sin(arc.theta)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(
+            f"arc (theta {arc.theta}, phi {arc.phi}) gives non-finite Clarke coordinates "
+            f"({re}, {im})"
+        )
+    return ClarkeCoords(re, im)
 
 
 def regularized_magnitude(
@@ -224,9 +240,32 @@ def regularized_magnitude(
     For a joint-space rho the first term equals the Clarke-coordinate norm.
     The additive term epsilon * f(a + b * rho^T rho) is strictly positive,
     keeps the result nonzero at rho = 0, and vanishes as rho^T rho grows.
+    Raises ValueError when rho is not finite or the result overflows.
     """
     arr = as_vector(rho, geometry.n, "joint displacements")
-    return _regularized_norm(float(arr @ arr), geometry.n, config, _FLOAT_OPS)
+    values = arr.tolist()
+    if not all_finite(values):
+        raise ValueError(f"joint displacements must be finite, got {values}")
+    with np.errstate(over="ignore"):  # rho^T rho may overflow; the result is checked
+        ss = float(arr @ arr)
+    magnitude = _regularized_norm(ss, geometry.n, config, _FLOAT_OPS)
+    if not math.isfinite(magnitude):
+        raise ValueError(
+            f"joint displacements {values} give a non-finite regularized magnitude {magnitude}"
+        )
+    return magnitude
+
+
+def _decay_rows(config: RegularizationConfig, t: np.ndarray) -> np.ndarray:
+    """config.decay_value of each entry of t.
+
+    Both decays are exactly 0.0 from t = 746 on, so only the other entries
+    are mapped; a NaN is among them, as the exponential decay of NaN is inf.
+    """
+    out = np.zeros(len(t))
+    live = ~(t >= 746.0)
+    out[live] = np.fromiter(map(config.decay_value, t[live].tolist()), float)
+    return out
 
 
 # The elementwise operations of the kernels below, on one Python float (math
@@ -241,7 +280,7 @@ _FLOAT_OPS = SimpleNamespace(
 )
 _ARRAY_OPS = SimpleNamespace(
     sin=np.sin, cos=np.cos, sqrt=np.sqrt, maximum=np.maximum, where=np.where,
-    decay=lambda config, t: np.fromiter(map(config.decay_value, t.tolist()), float, len(t)),
+    decay=_decay_rows,
 )
 
 

@@ -156,11 +156,16 @@ def legacy_from_displacements(
 
     Agrees with legacy_from_clarke(scheme, geometry, forward_transform(rho))
     for every displacement vector; the dedicated formulas are kept as an
-    independent route for cross-checking.
+    independent route for cross-checking.  Raises ValueError when rho is not
+    finite or the pair overflows.
     """
     _check_scheme(scheme, geometry)
-    arr = as_vector(rho, geometry.n, "joint displacements")
-    return LegacyPair(scheme, *_pair_from_displacements(scheme, arr, geometry.d))
+    values = as_vector(rho, geometry.n, "joint displacements").tolist()
+    p1, p2 = _pair_from_displacements(scheme, values, geometry.d)
+    if not (math.isfinite(p1) and math.isfinite(p2)):  # every entry of rho is in the pair
+        raise ValueError(f"joint displacements {values} give non-finite "
+                         f"{scheme.value} parameters ({p1}, {p2})")
+    return LegacyPair(scheme, p1, p2)
 
 
 def _pair_from_displacements(scheme: LegacyScheme, rho, d: float):

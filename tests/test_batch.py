@@ -34,6 +34,7 @@ from clarke_kinematics import (
     legacy_from_lengths,
     legacy_from_lengths_rows,
 )
+from clarke_kinematics import kinematics
 from clarke_kinematics.kinematics import _SERIES_CUTOFF
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -119,6 +120,26 @@ def test_forward_kinematics_rows(case, strategy):
     assert got.shape == (len(clarke), 12)
     if len(clarke):
         np.testing.assert_array_equal(got, scalar_poses(geometry, clarke, strategy, config))
+
+
+@pytest.mark.parametrize("decay", ["exponential", "mirrored_logistic"])
+def test_adaptive_decay_around_746(decay):
+    # both decays are exactly 0.0 from t = a + b * rho^T rho = 746 on, where the
+    # array form stops mapping decay_value; NaN is mapped (exponential gives inf)
+    config = RegularizationConfig(epsilon=1e-3, a=0.0, b=1.0, decay=decay)
+    t = np.array([745.0, np.nextafter(746.0, 0.0), 746.0, np.nextafter(746.0, 1e3), 747.0,
+                  1e308, math.inf, math.nan, -708.0, -709.5, -1e308, -math.inf])
+    np.testing.assert_array_equal(kinematics._ARRAY_OPS.decay(config, t),
+                                  [config.decay_value(x) for x in t.tolist()])
+    # rows with rho^T rho = (n/2) |clarke|^2 on both sides of t = 746
+    geometry = RobotGeometry(n=4, d=0.01, l=0.1)
+    re = math.sqrt(373.0) + np.arange(-8, 9) * np.spacing(math.sqrt(373.0))
+    clarke = np.column_stack([re, np.zeros_like(re)])
+    t = config.a + config.b * (0.5 * geometry.n * (re * re))
+    assert (t < 746.0).any() and (t >= 746.0).any()
+    strategy = SingularityStrategy.ADAPTIVE_EPSILON
+    np.testing.assert_array_equal(forward_kinematics_rows(geometry, clarke, strategy, config),
+                                  scalar_poses(geometry, clarke, strategy, config))
 
 
 @SETTINGS

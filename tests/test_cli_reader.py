@@ -1,15 +1,18 @@
-"""The chunked CSV reader against the per-cell reference parser, on generated text.
+"""The CSV reader against the per-cell reference parser, on generated text.
 
-reference_read_table is the reader as it was before parsing went chunk by
-chunk: one float() per stripped cell.  Both must accept the same files with
-the same values, and reject the same files with the same exit code and
-message.  cli.main must never raise and must return a documented exit code.
+reference_read_table is the reader as it was before plain files streamed
+through numpy's C text reader: one float() per stripped cell.  Both must
+accept the same files with the same values, and reject the same files with
+the same exit code and message.  cli.main must never raise and must return a
+documented exit code.
 """
 
 import contextlib
 import io
 import json
 import math
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -155,3 +158,105 @@ def test_check_membership_never_raises(workdir, case, membership_tol):
     assert code in range(5)
     if membership_tol in ("0", "-1", "nan", "inf"):
         assert code == cli.EXIT_USAGE
+
+
+# Cells over the plain alphabet: %.17g values, subnormals, -0 and an overflow
+# (1e999, which only the finiteness check refuses), tokens float() refuses,
+# and space or tab padding.
+GOOD_PLAIN = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x),
+    st.sampled_from(["0", "-0", "+1", "5e-324", "4.9406564584124654e-324", "2.2250738585072014e-308",
+                     "1e-400", "1e999", "-1E+5", "+.5", "5."]),
+)
+BAD_PLAIN = st.sampled_from(["1e", ".", "+-1", "1.2.3", "e5", "", "-", "1e+", "1 2"])
+
+
+def padded(cells):
+    pad = st.sampled_from(["", "", " ", "\t", " \t "])
+    return st.tuples(pad, cells, pad).map("".join)
+
+
+@st.composite
+def plain_files(draw):
+    """A plain header (BOM or not, padded or not) and a body of plain bytes only."""
+    header = draw(st.sampled_from(["rho_re,rho_im", "rho_1,rho_2,rho_3",
+                                   "x,y,z," + ",".join(f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))]))
+    k = header.count(",") + 1
+    first = draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from([header, header.replace(",", " ,\t")]))
+    good_row = st.lists(padded(GOOD_PLAIN), min_size=k, max_size=k)
+    any_row = st.lists(padded(st.one_of(GOOD_PLAIN, BAD_PLAIN)), min_size=k - 1, max_size=k + 1)
+    lines = draw(st.lists(st.one_of(good_row.map(",".join), good_row.map(",".join), any_row.map(",".join),
+                                    st.sampled_from(["", "  ", "\t"])), max_size=8))
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    text = first + "".join(draw(end) + line for line in lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    return header.split(","), text
+
+
+def _strict_outcome(read, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt's "empty input" UserWarning included
+        return _outcome(read, *args)
+
+
+def _assert_reads_as_reference(path, header):
+    want, want_error = _outcome(reference_read_table, str(path), header)
+    got, got_error = _strict_outcome(cli._read_table, str(path), header)
+    assert got_error == want_error
+    if want_error is None:
+        want = want.reshape(-1, len(header))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()  # -0.0 included
+    return want_error
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_files())
+def test_plain_files_match_reference(tmp_path_factory, case):
+    header, text = case
+    path = tmp_path_factory.mktemp("plain") / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    error = _assert_reads_as_reference(path, header)
+    body = text.splitlines()[1:]
+    if error is None and any(map(str.strip, body)) and all(map(str.strip, filter(None, body))):
+        # data and no whitespace-only line, which np.loadtxt refuses: the C reader took it
+        assert cli._read_plain(str(path), header) is not None
+
+
+@pytest.mark.parametrize("text,fast", [
+    ("\ufeffrho_re,rho_im\r\n1,2\r\n\r\n-0,5e-324\r\n", True),
+    ("rho_re , rho_im\r1,2\r3,4", True),
+    ("rho_re,rho_im\n1e999,0\n", False),  # the C reader gives inf: exit 3
+    ("rho_re,rho_im\n1,2\n \n", False),  # np.loadtxt refuses a whitespace-only line
+    ("rho_re,rho_im\n1,\x0c2\n", False),  # a line break to splitlines(), space to loadtxt
+    ("rho_re,rho_im\n1\x0b,2\n", False),
+    ("rho_re,\x0crho_im\n1,2\n", False),  # the header ends at \x0c: exit 2
+    ("rho_re,rho_im\n1,2\u2028\n", False),
+    ("rho_re,rho_im\n1,nan\n", False),
+    ("rho_re,rho_im", False),
+    ("rho_re,rho_im\n", False),
+    ("rho_re,rho_im\r\n \t\n\n", False),  # blank only: loadtxt would warn of empty input
+])
+def test_edge_files_read_as_reference(tmp_path, text, fast):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_reads_as_reference(path, ["rho_re", "rho_im"])
+    assert (cli._read_plain(str(path), ["rho_re", "rho_im"]) is not None) == fast
+
+
+def test_plain_read_holds_about_the_table(tmp_path):
+    """Reading a plain file peaks below twice the table's bytes plus 2 MiB.
+
+    A reader that holds the whole text (about 2.7 times the table's bytes)
+    and a list of its lines does not.
+    """
+    header = [f"rho_{i}" for i in range(1, 13)]
+    table = np.random.default_rng(7).normal(scale=0.01, size=(20_000, 12))
+    path = str(tmp_path / "wide.csv")
+    cli._write_table(path, header, table)
+    tracemalloc.start()
+    try:
+        got = cli._read_table(path, header)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == table.tobytes()
+    assert peak < 2 * table.nbytes + 2 * 2**20

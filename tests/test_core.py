@@ -195,6 +195,12 @@ class TestForwardTransform:
         ):
             forward_transform(geometry3, [1.5e308, -1.5e308, -1.5e308])
 
+    def test_overflow_raises_without_a_warning(self, geometry3):
+        # no np.errstate here: the suite turns numpy's overflow RuntimeWarning into an error
+        with pytest.raises(ValueError, match="give non-finite Clarke coordinates"):
+            forward_transform(geometry3, [1.5e308, -1.5e308, -1.5e308])
+        assert all(map(math.isfinite, forward_transform(geometry3, [1e308, -1e308, 5e307])))
+
 
 class TestInverseTransform:
     def test_n4_example(self, geometry4):
@@ -237,6 +243,10 @@ class TestInverseTransform:
         with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=re.escape("Clarke coordinates (1.5e+308, 1.5e+308) give non-finite")
         ):
+            inverse_transform(RobotGeometry(n=8, d=0.01, l=0.1), (1.5e308, 1.5e308))
+
+    def test_overflow_raises_without_a_warning(self):
+        with pytest.raises(ValueError, match="give non-finite joint displacements"):
             inverse_transform(RobotGeometry(n=8, d=0.01, l=0.1), (1.5e308, 1.5e308))
 
 

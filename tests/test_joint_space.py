@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ class TestContains:
                                      [0.0, 0.0, 0.0, -math.inf]])
     def test_non_finite_vector_is_not(self, geometry4, rho):
         assert contains(geometry4, rho) is False
+
+    def test_overflowing_residual_is_not_without_a_warning(self, geometry3):
+        # finite entries whose projection overflows; no np.errstate, so a numpy
+        # RuntimeWarning would fail the test
+        assert contains(geometry3, [1.5e308, -1.5e308, -1.5e308]) is False
+        assert contains(geometry3, [1e308, -5e307, -5e307]) is True
 
     def test_rejects_bad_tolerance(self, geometry4):
         for tol in (0.0, -1.0, math.nan, math.inf, True, "1e-9"):
@@ -108,6 +115,17 @@ class TestProject:
             projected = project(geometry4, rho)
             bound = 4 * 1e-15 * max(float(np.max(np.abs(rho))), 1e-300)
             assert abs(float(np.sum(projected))) <= bound
+
+    @pytest.mark.parametrize("rho", [[math.inf, 0.0, 0.0, 0.0], [0.0, 0.0, math.nan, 0.0]])
+    def test_rejects_non_finite(self, geometry4, rho):
+        with pytest.raises(ValueError, match=re.escape(f"joint displacements must be finite, got {rho}")):
+            project(geometry4, rho)
+
+    def test_rejects_overflow_without_a_warning(self, geometry3):
+        message = "joint displacements [1.5e+308, -1.5e+308, -1.5e+308] give a non-finite projection"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            project(geometry3, [1.5e308, -1.5e308, -1.5e308])
+        assert_close(project(geometry3, [1e308, -5e307, -5e307]), [1e308, -5e307, -5e307])
 
 
 class TestSample:

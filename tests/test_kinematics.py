@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestArcFromClarke:
         assert arc.theta == pytest.approx(math.pi / 2.0, rel=1e-15)
         assert arc.phi == pytest.approx(1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("clarke", [(math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf),
+                                        (math.inf, math.nan), (1e307, 0.0)])  # the last: phi overflows
+    def test_rejects_non_finite(self, geometry4, clarke):
+        message = f"Clarke coordinates ({clarke[0]}, {clarke[1]}) give a non-finite arc"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            arc_from_clarke(geometry4, clarke)
+
+    def test_rejects_overflowing_curvature(self):
+        # phi = 1e10 is finite, kappa = phi / l is not
+        with pytest.raises(ValueError, match=re.escape("phi 10000000000.0, kappa inf")):
+            arc_from_clarke(RobotGeometry(n=4, d=0.01, l=1e-300), (1e8, 0.0))
+
 
 class TestClarkeFromArc:
     def test_straight(self, geometry4):
@@ -100,6 +113,17 @@ class TestClarkeFromArc:
             back = arc_from_clarke(geometry4, clarke_from_arc(geometry4, arc))
             assert back.theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
             assert back.phi == pytest.approx(phi, rel=1e-12)
+
+    @pytest.mark.parametrize("arc", [ArcParams(0.0, math.inf), ArcParams(math.nan, 1.0)])
+    def test_rejects_non_finite(self, geometry4, arc):
+        message = f"arc (theta {arc.theta}, phi {arc.phi}) gives non-finite Clarke coordinates"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            clarke_from_arc(geometry4, arc)
+
+    def test_rejects_overflow(self):
+        # d * phi overflows although both are finite
+        with pytest.raises(ValueError, match=re.escape("(theta 0.0, phi 1e+308) gives non-finite")):
+            clarke_from_arc(RobotGeometry(n=4, d=10.0, l=0.1), ArcParams(0.0, 1e308))
 
 
 class TestRegularizationConfig:
@@ -199,6 +223,21 @@ class TestRegularizedMagnitude:
         assert len(closed) == len(via_rho)
         for got, want in zip(closed, via_rho):
             assert abs(got - want) <= 4.0 * 2.0**-52 * want
+
+    @pytest.mark.parametrize("rho", [[math.inf, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0, 0.0]])
+    def test_rejects_non_finite(self, geometry4, rho):
+        cfg = RegularizationConfig.default(geometry4)
+        with pytest.raises(ValueError, match=re.escape(f"joint displacements must be finite, got {rho}")):
+            regularized_magnitude(geometry4, rho, cfg)
+
+    @pytest.mark.parametrize("rho,cfg", [
+        ([1e300, 0.0, 0.0, 0.0], RegularizationConfig(epsilon=1e-9)),  # rho^T rho overflows
+        ([0.0, 0.0, 0.0, 0.0], RegularizationConfig(epsilon=1e-9, a=-800.0)),  # exp(800) does
+    ])
+    def test_rejects_overflow(self, geometry4, rho, cfg):
+        message = f"joint displacements {rho} give a non-finite regularized magnitude inf"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            regularized_magnitude(geometry4, rho, cfg)
 
     def test_mirrored_logistic_floor(self, geometry4):
         cfg = RegularizationConfig(epsilon=1e-6, a=0.0, b=1.0, decay="mirrored_logistic")

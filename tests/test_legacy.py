@@ -210,6 +210,26 @@ class TestFromDisplacements:
             assert abs(shifted.p1 - base.p1) <= 1e-12 * scale
             assert abs(shifted.p2 - base.p2) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("scheme,rho", [
+        (LegacyScheme.ALLEN4, [math.inf, 0.0, 0.0, 0.0]), (LegacyScheme.DIAN3, [0.0, math.nan, 0.0]),
+        (LegacyScheme.ALLEN3, [0.0, 0.0, -math.inf]),
+        (LegacyScheme.ALLEN4, [1e308, 0.0, -1e308, 0.0]),  # finite, but the pair overflows
+    ])
+    def test_rejects_non_finite(self, scheme, rho):
+        message = f"joint displacements {rho} give non-finite {scheme.value} parameters"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            legacy_from_displacements(scheme, geometry_for(scheme), rho)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_python_floats_as_the_clarke_route(self, scheme):
+        geom = geometry_for(scheme)
+        rho = np.linspace(-0.01, 0.02, geom.n)
+        pair = legacy_from_displacements(scheme, geom, rho)
+        assert type(pair.p1) is float and type(pair.p2) is float
+        assert (pair.p1, pair.p2) == tuple(
+            legacy_from_displacements(scheme, geom, rho.tolist())[1:]
+        )
+
     def test_allen4_is_scaled_dellasantina4(self, geometry4):
         rng = np.random.default_rng(8)
         d = geometry4.d
