@@ -16,7 +16,9 @@ import io
 import json
 import math
 import os
+import stat
 import sys
+from array import array
 
 import numpy as np
 
@@ -99,8 +101,9 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
     A UTF-8 byte order mark is dropped.  Blank lines are skipped and not
     counted: messages number the data rows from 1, as _map_rows does.  A
     plain table streams through numpy's C text reader; any other file, and
-    any plain one that reader refuses, is parsed cell by cell, which gives
-    the same values and names the first bad row and column.
+    any plain one that reader refuses, goes through _parse_rows, one float()
+    per cell, which gives the same values and names the first bad row and
+    column.
     """
     table = _read_plain(path, expected_header)
     if table is not None:
@@ -119,8 +122,7 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
             f"{path}: expected columns {','.join(expected_header)}, "
             f"found {','.join(header)}",
         )
-    data = [line for line in lines[1:] if line.strip()]
-    return np.array(_parse_rows(path, header, data), dtype=float).reshape(-1, len(header))
+    return _parse_rows(path, header, [line for line in lines[1:] if line.strip()])
 
 
 def _read_plain(path: str, expected_header: list[str]) -> np.ndarray | None:
@@ -130,9 +132,13 @@ def _read_plain(path: str, expected_header: list[str]) -> np.ndarray | None:
     open file, so no copy of the whole text is held.  np.loadtxt reads the
     lines as splitlines() would (universal newlines), skips empty ones and
     strips spaces and tabs around each cell as float() does.  Raises and
-    prints nothing: a file it declines is left to the per-cell parser.
+    prints nothing: a file it declines is left to _parse_rows.  Only a
+    regular file is read, since the caller then reads the file again, and a
+    pipe gives its bytes once.
     """
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
         with open(path, "rb") as raw:
             block = raw.read(_SCAN_BYTES)
             ends = [i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0]
@@ -144,17 +150,21 @@ def _read_plain(path: str, expected_header: list[str]) -> np.ndarray | None:
                 [c.strip() for c in header.decode("ascii").split(",")] != expected_header
             ):
                 return None
-            block, has_data = block[body_start:], False
+            block, has_data, has_blanks = block[body_start:], False, False
             while block:
                 if block.translate(None, _PLAIN_BODY):
                     return None
                 has_data = has_data or not block.isspace()
+                has_blanks = has_blanks or b" " in block or b"\t" in block
                 block = raw.read(_SCAN_BYTES)
             if not has_data:  # np.loadtxt would warn of empty input
                 return None
             raw.seek(body_start)
             with io.TextIOWrapper(raw, encoding="ascii") as text:
-                table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+                # np.loadtxt refuses a whitespace-only line: with blanks in
+                # the body, lines that hold nothing else are dropped first
+                lines = filter(str.strip, text) if has_blanks else text
+                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except (OSError, ValueError):
         return None
     if table.shape[1] != len(expected_header) or not np.isfinite(table).all():
@@ -162,35 +172,63 @@ def _read_plain(path: str, expected_header: list[str]) -> np.ndarray | None:
     return table
 
 
-def _parse_rows(path: str, header: list[str], lines: list[str]) -> list[list[float]]:
-    """Parse data lines cell by cell; the first line is data row 1.
+def _parse_rows(path: str, header: list[str], lines: list[str]) -> np.ndarray:
+    """Parse data lines into an (N, k) array; the first line is data row 1.
 
-    Raises the CliError that names the first row with the wrong cell count
-    or the first cell that is not a finite float.
+    Each row is parsed with one float() per cell, and again with stripped
+    cells where that fails (str.strip() drops characters such as \\x1f that
+    float() keeps).  The first row with the wrong cell count, a cell neither
+    parse takes or a non-finite value is named by _row_error.
     """
-    rows: list[list[float]] = []
-    for ridx, line in enumerate(lines, start=1):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise CliError(
-                EXIT_USAGE,
-                f"{path}: row {ridx} has {len(cells)} cells, expected {len(header)}",
-            )
-        parsed = []
-        for name, cell in zip(header, cells):
+    k = len(header)
+    values = array("d")
+    bad = len(lines)
+    for ridx, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != k:
+            bad = ridx
+            break
+        try:
+            values.extend(map(float, cells))
+        except ValueError:
+            del values[ridx * k :]
             try:
-                value = float(cell)
+                values.extend([float(c.strip()) for c in cells])
             except ValueError:
-                raise CliError(
-                    EXIT_PARSE, f"{path}: row {ridx}, column {name}: cannot parse {cell!r}"
-                )
-            if not math.isfinite(value):
-                raise CliError(
-                    EXIT_PARSE, f"{path}: row {ridx}, column {name}: non-finite value {cell!r}"
-                )
-            parsed.append(value)
-        rows.append(parsed)
-    return rows
+                bad = ridx
+                break
+    table = np.frombuffer(values, count=bad * k).reshape(bad, k)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+    if bad < len(lines):
+        raise _row_error(path, header, bad + 1, lines[bad])
+    return table
+
+
+def _row_error(path: str, header: list[str], ridx: int, line: str) -> CliError:
+    """The CliError for data row ridx, a line _parse_rows could not take.
+
+    It names the wrong cell count, or else the first cell that is not a
+    finite float.
+    """
+    cells = [c.strip() for c in line.split(",")]
+    if len(cells) != len(header):
+        return CliError(
+            EXIT_USAGE, f"{path}: row {ridx} has {len(cells)} cells, expected {len(header)}"
+        )
+    for name, cell in zip(header, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            return CliError(
+                EXIT_PARSE, f"{path}: row {ridx}, column {name}: cannot parse {cell!r}"
+            )
+        if not math.isfinite(value):
+            return CliError(
+                EXIT_PARSE, f"{path}: row {ridx}, column {name}: non-finite value {cell!r}"
+            )
+    raise AssertionError(f"{path}: row {ridx} has no bad cell")
 
 
 def _write_table(path: str, header: list[str], rows: np.ndarray) -> None:

@@ -234,10 +234,8 @@ def forward_transform(geometry: RobotGeometry, rho) -> ClarkeCoords:
     if math.hypot(*values) < MATVEC_SAFE:  # finite, and no sum in the product overflows
         re, im = (geometry.clarke.forward @ arr).tolist()
     else:
-        if not all_finite(values):  # before the product, which would warn of inf * 0
-            raise ValueError(f"joint displacements must be finite, got {values}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            re, im = (geometry.clarke.forward @ arr).tolist()
+        forward = geometry.clarke.forward
+        re, im = _large_product(forward, arr, values, "joint displacements").tolist()
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(
                 f"joint displacements {values} give non-finite Clarke coordinates ({re}, {im})"
@@ -253,18 +251,30 @@ def inverse_transform(geometry: RobotGeometry, clarke) -> np.ndarray:
     Raises ValueError when clarke is not finite or the result overflows.
     """
     re, im = as_pair(clarke, "Clarke coordinates")
-    # finite, and as |M_P^R| <= 1 + 2**-51 entrywise, no entry of rho overflows
-    if abs(re) + abs(im) < 2.0**1023:
+    if abs(re) + abs(im) < MATVEC_SAFE:  # finite, and no sum in the product overflows
         return geometry.clarke.right_inverse @ np.array((re, im))
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ValueError(f"Clarke coordinates must be finite, got ({re}, {im})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = geometry.clarke.right_inverse @ np.array((re, im))
+    rho = _large_product(
+        geometry.clarke.right_inverse, np.array((re, im)), (re, im), "Clarke coordinates"
+    )
     if not np.isfinite(rho).all():
         raise ValueError(
             f"Clarke coordinates ({re}, {im}) give non-finite joint displacements"
         )
     return rho
+
+
+def _large_product(matrix: np.ndarray, vector: np.ndarray, values, what: str) -> np.ndarray:
+    """matrix @ vector for a vector that reaches MATVEC_SAFE or is not finite.
+
+    values are the vector's entries as Python floats, and what names them.
+    Raises ValueError for a vector that is not finite; otherwise the product
+    runs with numpy's overflow warnings silenced, so that the caller, which
+    checks the result, raises its own error and nothing comes before it.
+    """
+    if not all_finite(values):  # before the product, which would warn of inf * 0
+        raise ValueError(f"{what} must be finite, got {values}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return matrix @ vector
 
 
 def forward_transform_rows(geometry: RobotGeometry, rho_rows) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     MATVEC_SAFE,
     RobotGeometry,
+    _large_product,
     all_finite,
     as_rows,
     as_vector,
@@ -51,13 +52,11 @@ def contains(geometry: RobotGeometry, rho, tol: float = DEFAULT_MEMBERSHIP_TOL) 
     if not all_finite(values):  # contains_rows finds a NaN residual there
         return False
     peak = max(map(abs, values))
+    if peak >= MATVEC_SAFE:  # the residual may overflow, which contains_rows allows for
+        return bool(contains_rows(geometry, arr[None], float(tol))[0])
     # float(tol): a float64 product, as in contains_rows, whatever tol's type
     bound = float(tol) * max(1.0, peak)
-    if peak < MATVEC_SAFE:
-        residual = _residual(geometry, arr)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = _residual(geometry, arr)
+    residual = _residual(geometry, arr)
     # every |residual| within the bound, so that a NaN residual (an overflow)
     # gives False, as in contains_rows
     return all(map(bound.__ge__, map(abs, residual.tolist())))
@@ -74,9 +73,10 @@ def contains_rows(
     """
     arr = as_rows(rho_rows, geometry.n)
     positive_finite(tol, "tolerance")
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflow gives False or an inf bound
         residual = _residual(geometry, arr)
-    return np.abs(residual).max(axis=-1) <= tol * np.abs(arr).max(axis=-1, initial=1.0)
+        bound = tol * np.abs(arr).max(axis=-1, initial=1.0)
+    return np.abs(residual).max(axis=-1) <= bound
 
 
 def _residual(geometry: RobotGeometry, arr: np.ndarray) -> np.ndarray:
@@ -100,10 +100,7 @@ def project(geometry: RobotGeometry, rho) -> np.ndarray:
     values = arr.tolist()
     if math.hypot(*values) < MATVEC_SAFE:  # finite, and no sum in the product overflows
         return projector(geometry) @ arr
-    if not all_finite(values):
-        raise ValueError(f"joint displacements must be finite, got {values}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = projector(geometry) @ arr
+    out = _large_product(projector(geometry), arr, values, "joint displacements")
     if not np.isfinite(out).all():
         raise ValueError(f"joint displacements {values} give a non-finite projection")
     return out

@@ -11,6 +11,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -209,28 +211,32 @@ def _assert_reads_as_reference(path, header):
 
 
 @settings(max_examples=300, deadline=None)
-@given(plain_files())
-def test_plain_files_match_reference(tmp_path_factory, case):
+@given(plain_files(), st.sampled_from([128, cli._SCAN_BYTES]))
+def test_plain_files_match_reference(tmp_path_factory, case, scan_bytes):
+    # 128 bytes hold the longest header; lines then cross block boundaries
     header, text = case
     path = tmp_path_factory.mktemp("plain") / "in.csv"
     path.write_bytes(text.encode("utf-8"))
-    error = _assert_reads_as_reference(path, header)
-    body = text.splitlines()[1:]
-    if error is None and any(map(str.strip, body)) and all(map(str.strip, filter(None, body))):
-        # data and no whitespace-only line, which np.loadtxt refuses: the C reader took it
-        assert cli._read_plain(str(path), header) is not None
+    with mock.patch.object(cli, "_SCAN_BYTES", scan_bytes):
+        error = _assert_reads_as_reference(path, header)
+        if error is None and any(map(str.strip, text.splitlines()[1:])):
+            assert cli._read_plain(str(path), header) is not None  # data: the C reader took it
 
 
 @pytest.mark.parametrize("text,fast", [
     ("\ufeffrho_re,rho_im\r\n1,2\r\n\r\n-0,5e-324\r\n", True),
     ("rho_re , rho_im\r1,2\r3,4", True),
     ("rho_re,rho_im\n1e999,0\n", False),  # the C reader gives inf: exit 3
-    ("rho_re,rho_im\n1,2\n \n", False),  # np.loadtxt refuses a whitespace-only line
+    ("rho_re,rho_im\n1,2\n \n", True),  # the whitespace-only line is dropped first
+    ("rho_re,rho_im\r\n\t\r\n 1, 2\r\n\r\n3 ,4\t\r\n", True),
     ("rho_re,rho_im\n1,\x0c2\n", False),  # a line break to splitlines(), space to loadtxt
     ("rho_re,rho_im\n1\x0b,2\n", False),
     ("rho_re,\x0crho_im\n1,2\n", False),  # the header ends at \x0c: exit 2
     ("rho_re,rho_im\n1,2\u2028\n", False),
     ("rho_re,rho_im\n1,nan\n", False),
+    ("rho_re,rho_im\n1,1e999\n2,x\n", False),  # row 1, non-finite: the earlier row is named
+    ("rho_re,rho_im\n1,2\n3,x\n4,1e999\n", False),  # row 2, cannot parse
+    ("rho_re,rho_im\n1,\x1f2\n3, 4,5\n", False),  # strip() drops \x1f, float() does not; row 2
     ("rho_re,rho_im", False),
     ("rho_re,rho_im\n", False),
     ("rho_re,rho_im\r\n \t\n\n", False),  # blank only: loadtxt would warn of empty input
@@ -242,16 +248,56 @@ def test_edge_files_read_as_reference(tmp_path, text, fast):
     assert (cli._read_plain(str(path), ["rho_re", "rho_im"]) is not None) == fast
 
 
-def test_plain_read_holds_about_the_table(tmp_path):
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
+@pytest.mark.parametrize("text", [
+    "rho_re,rho_im\n1,2\n-0,5e-324\n",  # plain
+    "\ufeffrho_re,rho_im\r\n1,2\r\n  \r\n3,4\r\n",  # plain bytes, a whitespace-only line
+])
+def test_pipe_reads_as_reference(tmp_path, text):
+    """A named pipe (say `--input <(zcat rho.csv.gz)`) gives its bytes once.
+
+    The reader must read it once, so it reads the same table as a regular
+    file with the same text.
+    """
+    header = ["rho_re", "rho_im"]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fifo = str(tmp_path / "pipe.csv")
+    os.mkfifo(fifo)
+
+    def write(data):
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    threading.Thread(target=write, args=(text.encode("utf-8"),), daemon=True).start()
+    # a reader that opens the pipe a second time would wait for a second
+    # writer: this one gives it an empty pipe, so the test fails, not hangs
+    rescue = threading.Timer(10.0, write, args=(b"",))
+    rescue.daemon = True
+    rescue.start()
+    try:
+        got = cli._read_table(fifo, header)
+    finally:
+        rescue.cancel()
+    want = np.asarray(reference_read_table(str(path), header)).reshape(-1, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("blank", ["", "  \n"])
+def test_plain_read_holds_about_the_table(tmp_path, blank):
     """Reading a plain file peaks below twice the table's bytes plus 2 MiB.
 
     A reader that holds the whole text (about 2.7 times the table's bytes)
-    and a list of its lines does not.
+    and a list of its lines does not.  A whitespace-only line in the middle
+    keeps the file plain.
     """
     header = [f"rho_{i}" for i in range(1, 13)]
     table = np.random.default_rng(7).normal(scale=0.01, size=(20_000, 12))
-    path = str(tmp_path / "wide.csv")
-    cli._write_table(path, header, table)
+    path = tmp_path / "wide.csv"
+    cli._write_table(str(path), header, table)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:10_000] + [blank] + lines[10_000:]))
+    path = str(path)
     tracemalloc.start()
     try:
         got = cli._read_table(path, header)
