@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import io
 import json
 import math
@@ -82,10 +83,10 @@ def load_geometry(path: str) -> RobotGeometry:
         raise CliError(EXIT_USAGE, f"invalid geometry in {path}: {exc}")
 
 
-# Rows per chunk when formatting tables: large enough that the per-chunk
-# overhead vanishes, small enough that a chunk's temporary strings stay a few
-# MB however long the file is.
-_CHUNK_ROWS = 4096
+# Cells per chunk when formatting tables: large enough that numpy's per-call
+# overhead vanishes, small enough that a chunk's temporaries (about 200 bytes a
+# cell) stay near 2 MB however long the file is.
+_CHUNK_CELLS = 8192
 
 # A plain table: a header of printable ASCII (and tabs) after an optional
 # UTF-8 byte order mark, then a body of these bytes only.  Everything
@@ -232,16 +233,197 @@ def _row_error(path: str, header: list[str], ridx: int, line: str) -> CliError:
 
 
 def _write_table(path: str, header: list[str], rows: np.ndarray) -> None:
-    """Write the header and the rows of an (N, k) array, every value as %.17g."""
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    """Write the header and the rows of an (N, k) array, every value as %.17g.
+
+    The rows are formatted about _CHUNK_CELLS cells at a time by
+    _format_rows, which gives the bytes b"%.17g" % v gives for every value.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    step = max(1, _CHUNK_CELLS // len(header))
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                chunk = rows[start : start + _CHUNK_ROWS]
-                fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+        with open(path, "wb") as fh:
+            fh.write(",".join(header).encode("utf-8") + b"\n")
+            for start in range(0, len(rows), step):
+                fh.write(_format_rows(rows[start : start + step]))
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot write {path}: {exc}")
+
+
+# %.17g without a Python call per cell.  A nonzero finite x with decimal
+# exponent k (10**k <= |x| < 10**(k+1)) prints the integer D nearest to
+# X = |x| * 10**(16 - k), which has 17 digits, in %g's fixed form when
+# -4 <= k < 17 and in its exponent form otherwise.  X is computed as hi + lo,
+# with hi = fl(X) and |lo| <= ulp(hi) / 2, from a double-double table
+# 10**s = t_hi + t_lo and Dekker's exact product |x| * t_hi (numpy has no
+# fma).  For X < 2**57:
+#   |10**s - t_hi - t_lo| <= 2**-106 * t_hi, so |x| times it is <= 2**-49;
+#   rounding |x| * t_lo (at most 2**-53 * X < 16) errs by <= 2**-49;
+#   adding that to e, the product's exact error (|e| <= 8), errs by <= 2**-48
+#   (the sum is below 32); the last two-sum, which gives hi and lo, is exact.
+# So |X - (hi + lo)| <= 2**-47 (7.1e-15).  D = hi + rint(lo) is exact unless
+# the fraction of lo lies within _TIE_MARGIN, over 2**10 times that bound, of
+# 1/2: such cells (exact ties among them) take b"%.17g" % v, as do non-finite
+# values and |x| outside [_FAST_MIN, _FAST_MAX], beyond which Dekker's split
+# or the table would leave the normal range.  k starts as floor(log10|x|) and
+# moves by one where hi + lo falls outside [1e16, 1e17); within the error
+# bound of either end, both choices of k print the same digits.  D = 10**17
+# carries into k + 1.
+_TIE_MARGIN = 1e-11
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
+_POW_MIN, _POW_MAX = -300, 300
+# A cell is laid out in a record of 29 bytes: the sign, a 22-byte body, the
+# exponent ("e-05", "e+100") and the separator, with NUL for every byte left
+# out; the NULs are dropped at the end.  The body is z, four places for the
+# zeros of "0.000" (k < 0) and then the 17 digits of D, with "." inserted at
+# p = 5 + k (fixed form) or p = 5 (exponent form): body[j] is z[j] before p
+# and z[j - 1] after it.  The trailing zeros of the fraction, and a "." left
+# bare, are cut: every body byte from `cut` on is NUL.  _layout_masks gives,
+# for each (p, cut), which record bytes are taken from the record as it is
+# (keep), which from the byte before them (shift), and which are constant
+# (marks: the "." and the zeros of k < 0).
+_RECORD = 29
+_BODY = 22
+_CUTS = _BODY + 1
+
+
+@functools.cache
+def _format_tables():
+    """(t_hi, t_hi_high, t_hi_low, t_lo), the digit quads, the exponents, the masks.
+
+    t_hi[s - _POW_MIN] is 10**s correctly rounded, t_hi_high + t_hi_low its
+    split, and t_lo the rounded remainder 10**s - t_hi; each is a correctly
+    rounded division of Python ints.  Built on the first write.
+    """
+    t_hi, t_lo = [], []
+    for s in range(_POW_MIN, _POW_MAX + 1):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        hi_num, hi_den = (num / den).as_integer_ratio()
+        t_hi.append(hi_num / hi_den)
+        t_lo.append((num * hi_den - hi_num * den) / (den * hi_den))
+    t_hi = np.array(t_hi)
+    t_hi_high = t_hi * _SPLIT
+    t_hi_high -= t_hi_high - t_hi
+    pow10 = (t_hi, t_hi_high, t_hi - t_hi_high, np.array(t_lo))
+
+    # "0000" .. "9999" as one uint32 each, so that D's digits are four lookups
+    quad = np.arange(10_000)
+    quads = (quad[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    quad_zeros = sum((quad % m == 0).astype(np.int64) for m in (10, 100, 1000, 10_000))
+
+    exponents = np.zeros((_POW_MAX - _POW_MIN + 1, 5), dtype=np.uint8)
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        text = b"e%+03d" % k
+        exponents[k - _POW_MIN, : len(text)] = list(text)
+    return pow10, quads.view(np.uint32).ravel(), quad_zeros, exponents, _layout_masks()
+
+
+def _layout_masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """keep, shift and marks, each (_CUTS * _CUTS, _RECORD) uint8, row p * _CUTS + cut."""
+    p = np.arange(_CUTS)[:, None, None]
+    cut = np.arange(_CUTS)[None, :, None]
+    j = np.arange(_BODY)[None, None, :]
+    shape = (_CUTS, _CUTS, _RECORD)
+    keep, shift, marks = (np.zeros(shape, dtype=np.uint8) for _ in range(3))
+    keep[:, :, 0] = 1  # sign
+    keep[:, :, 1 + _BODY :] = 1  # exponent, separator
+    keep[:, :, 1 : 1 + _BODY] = (j < p) & (j < cut)
+    shift[:, :, 1 : 1 + _BODY] = (j > p) & (j < cut)
+    leading_zeros = (p < 5) & ((j == p - 1) | ((j > p) & (j < 5)))  # "0." and "000" of k < 0
+    marks[:, :, 1 : 1 + _BODY] = np.where((j == p) & (j < cut), 46, 48 * leading_zeros)
+    return tuple(m.reshape(_CUTS * _CUTS, _RECORD) for m in (keep, shift, marks))
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo = a * 10**(16 - k) to within 2**-47 for hi + lo < 2**57."""
+    t_hi, t_hi_high, t_hi_low, t_lo = (t.take(16 - k - _POW_MIN) for t in _format_tables()[0])
+    p = a * t_hi
+    a_high = a * _SPLIT
+    a_high -= a_high - a
+    a_low = a - a_high
+    e = a_high * t_hi_high
+    e -= p
+    e += a_high * t_hi_low
+    e += a_low * t_hi_high
+    e += a_low * t_hi_low
+    c = a * t_lo
+    c += e
+    hi = p + c
+    p -= hi
+    p += c
+    return hi, p
+
+
+def _outside(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where hi + lo < 1e16, and where hi + lo >= 1e17."""
+    return (hi < 1e16) | (hi == 1e16) & (lo < 0), (hi > 1e17) | (hi == 1e17) & (lo >= 0)
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The CSV lines of an (N, k) float64 array, byte for byte as %.17g gives them."""
+    _, quads, quad_zeros, exponents, (keep, shift, marks) = _format_tables()
+    x = rows.ravel()
+    n = x.size
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, k)
+    low, high = _outside(hi, lo)
+    off = np.flatnonzero(low | high)
+    if off.size:
+        k[off] += high[off].astype(np.int64) - low[off]
+        hi[off], lo[off] = _scaled(a[off], k[off])
+        low, high = _outside(hi[off], lo[off])
+        fast[off[low | high]] = False  # log10 was off by more than one
+    fraction = lo - np.floor(lo)
+    fast &= np.abs(fraction - 0.5) > _TIE_MARGIN
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+    d[zero] = 0  # prints as its lead digit: all 16 others are trailing zeros
+    k[zero] = 0
+
+    buffer = np.zeros(1 + n * _RECORD, dtype=np.uint8)
+    records = buffer[1:].reshape(n, _RECORD)
+    records[:, 0] = np.signbit(x) * np.uint8(45)
+    lead = d // 10**16
+    records[:, 5] = lead + 48
+    d -= lead * 10**16
+    groups = np.empty((4, n), dtype=np.int64)
+    for i, scale in enumerate((10**12, 10**8, 10**4)):
+        np.floor_divide(d, scale, out=groups[i])
+        d -= groups[i] * scale
+    groups[3] = d
+    records[:, 6 : 6 + 16] = quads.take(groups.T).view(np.uint8)
+    zeros = quad_zeros.take(groups[3])
+    rest = np.flatnonzero(groups[3] == 0)
+    for i in (2, 1, 0):
+        zeros[rest] += quad_zeros.take(groups[i, rest])
+        rest = rest[groups[i, rest] == 0]
+    exponent_form = (k < -4) | (k >= 17)
+    shown = np.flatnonzero(exponent_form)
+    records[shown, 1 + _BODY : 1 + _BODY + 5] = exponents.take(k[shown] - _POW_MIN, axis=0)
+    records.reshape(rows.shape + (_RECORD,))[:, :, -1] = 44
+    records.reshape(rows.shape + (_RECORD,))[:, -1, -1] = 10
+
+    k[exponent_form] = 0
+    p = 5 + k
+    cut = np.where(zeros < 16 - k, _BODY - zeros, p)
+    key = p * _CUTS + cut
+    out = keep.take(key, axis=0)
+    out *= records
+    shifted = shift.take(key, axis=0)
+    shifted *= buffer[:-1].reshape(n, _RECORD)  # the byte before each record byte
+    out += shifted
+    out += marks.take(key, axis=0)
+    for i in np.flatnonzero(~(fast | zero)).tolist():
+        text = b"%.17g" % x[i]
+        out[i, :-1] = 0
+        out[i, : len(text)] = list(text)
+    return out.tobytes().translate(None, b"\0")
 
 
 def _joint_header(prefix: str, n: int) -> list[str]:

@@ -82,9 +82,10 @@ class SingularityStrategy(enum.Enum):
 class ArcParams:
     """Bending-plane angle theta, bending angle phi, and derived curvature.
 
-    theta is normalized into (-pi, pi]; phi must be non-negative.  kappa is
-    phi/l under the constant-curvature interpretation and is filled in by
-    arc_from_clarke; it may be omitted when constructing by hand.
+    theta must be finite and is normalized into (-pi, pi]; phi must be
+    non-negative.  kappa is phi/l under the constant-curvature interpretation
+    and is filled in by arc_from_clarke; it may be omitted when constructing
+    by hand.
     """
 
     theta: float
@@ -94,7 +95,7 @@ class ArcParams:
     def __post_init__(self) -> None:
         if not self.phi >= 0.0:
             raise ValueError(f"bending angle must be non-negative, got {self.phi}")
-        theta = math.remainder(float(self.theta), _TAU)
+        theta = math.remainder(float(finite_real(self.theta, "bending-plane angle theta")), _TAU)
         if theta <= -math.pi:
             theta += _TAU
         object.__setattr__(self, "theta", theta)

@@ -29,6 +29,7 @@ import numpy as np
 from .core import (
     ClarkeCoords,
     RobotGeometry,
+    all_finite,
     as_pair,
     as_rows,
     as_vector,
@@ -99,8 +100,15 @@ def _check_scheme(scheme: LegacyScheme, geometry: RobotGeometry) -> None:
 
 
 def lengths_to_displacements(geometry: RobotGeometry, lengths) -> np.ndarray:
-    """Displacements from absolute actuation lengths, rho_i = l - l_i."""
-    return geometry.l - as_vector(lengths, geometry.n, "lengths")
+    """Displacements from absolute actuation lengths, rho_i = l - l_i.
+
+    Raises ValueError naming the lengths when one is not finite.
+    """
+    arr = as_vector(lengths, geometry.n, "lengths")
+    values = arr.tolist()
+    if not all_finite(values):
+        raise ValueError(f"lengths must be finite, got {values}")
+    return geometry.l - arr
 
 
 def displacements_to_lengths(geometry: RobotGeometry, rho) -> np.ndarray:

@@ -121,8 +121,8 @@ def _main(argv):
 
 
 @settings(max_examples=200, deadline=None)
-@given(csv_files(), st.sampled_from([1, 2, 3, cli._CHUNK_ROWS]))
-def test_reader_matches_reference_and_main_never_raises(workdir, case, chunk_rows):
+@given(csv_files())
+def test_reader_matches_reference_and_main_never_raises(workdir, case):
     n, header, argv, text = case
     path = workdir / "in.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -130,10 +130,9 @@ def test_reader_matches_reference_and_main_never_raises(workdir, case, chunk_row
     out.unlink(missing_ok=True)
 
     want, want_error = _outcome(reference_read_table, str(path), header)
-    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
-        got, got_error = _outcome(cli._read_table, str(path), header)
-        code, stderr = _main(argv + ["--geometry", str(workdir / f"g{n}.json"),
-                                     "--input", str(path), "--output", str(out)])
+    got, got_error = _outcome(cli._read_table, str(path), header)
+    code, stderr = _main(argv + ["--geometry", str(workdir / f"g{n}.json"),
+                                 "--input", str(path), "--output", str(out)])
     assert got_error == want_error
     if want_error is None:
         np.testing.assert_array_equal(got, want.reshape(-1, len(header)))

@@ -62,6 +62,12 @@ class TestArcParams:
         assert arc.theta == pytest.approx(expected, abs=1e-12)
         assert -math.pi < arc.theta <= math.pi
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_theta(self, theta):
+        message = f"bending-plane angle theta must be a finite real number, got {theta!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ArcParams(theta=theta, phi=1.0)
+
     def test_full_circle_flag(self):
         assert not ArcParams(theta=0.0, phi=2 * math.pi).full_circle
         assert ArcParams(theta=0.0, phi=2 * math.pi + 0.1).full_circle
@@ -114,8 +120,8 @@ class TestClarkeFromArc:
             assert back.theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
             assert back.phi == pytest.approx(phi, rel=1e-12)
 
-    @pytest.mark.parametrize("arc", [ArcParams(0.0, math.inf), ArcParams(math.nan, 1.0)])
-    def test_rejects_non_finite(self, geometry4, arc):
+    def test_rejects_non_finite(self, geometry4):
+        arc = ArcParams(0.0, math.inf)  # a NaN theta is refused by ArcParams itself
         message = f"arc (theta {arc.theta}, phi {arc.phi}) gives non-finite Clarke coordinates"
         with pytest.raises(ValueError, match=re.escape(message)):
             clarke_from_arc(geometry4, arc)

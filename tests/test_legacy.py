@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -62,6 +63,15 @@ class TestLengths:
     def test_length_mismatch(self, geometry4):
         with pytest.raises(ValueError, match="expected 4 lengths"):
             lengths_to_displacements(geometry4, [0.1, 0.1, 0.1])
+
+    @pytest.mark.parametrize("lengths", [[math.inf, 0.1, 0.1, 0.1], [0.1, math.nan, 0.1, 0.1],
+                                         [0.1, 0.1, 0.1, -math.inf]])
+    def test_rejects_non_finite(self, geometry4, lengths):
+        message = f"lengths must be finite, got {lengths}"
+        for convert in (lengths_to_displacements, clarke_from_lengths,
+                        functools.partial(legacy_from_lengths, LegacyScheme.ALLEN4)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                convert(geometry4, lengths)
 
     def test_constant_offset_invisible_in_clarke(self, geometry4):
         rng = np.random.default_rng(17)
