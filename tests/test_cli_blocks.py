@@ -109,7 +109,7 @@ def _traced_peak(argv):
 
 
 @pytest.mark.parametrize("rows", [20_000, 80_000])
-def test_fk_holds_its_tables_and_a_fixed_budget(tmp_path, rows):
+def test_fk_holds_its_input_and_a_fixed_budget(tmp_path, rows):
     """fk's traced peak stays within 3 MiB of its input table.
 
     The output table is an anonymous map, which tracemalloc does not see, so
@@ -127,7 +127,7 @@ def test_fk_holds_its_tables_and_a_fixed_budget(tmp_path, rows):
 
 
 @pytest.mark.parametrize("rows", [20_000, 80_000])
-def test_membership_check_holds_its_table_and_a_fixed_budget(tmp_path, rows):
+def test_membership_check_holds_its_input_and_a_fixed_budget(tmp_path, rows):
     """check --membership's traced peak stays within 3 MiB of its table (the flags are mapped)."""
     rho = np.random.default_rng(rows).normal(scale=0.01, size=(rows, 12))
     path = str(tmp_path / "rho.csv")
