@@ -11,16 +11,15 @@ the suite builds an n x n projector for every joint count up to it.
 from __future__ import annotations
 
 import argparse
-import codecs
+import contextlib
 import functools
-import io
 import json
 import math
 import mmap
 import os
-import stat
 import sys
 from array import array
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -89,102 +88,103 @@ def load_geometry(path: str) -> RobotGeometry:
 # cell) stay near 2 MB however long the file is.
 _CHUNK_CELLS = 8192
 
-# A plain table: a header of printable ASCII (and tabs) after an optional
-# UTF-8 byte order mark, then a body of these bytes only.  Everything
-# _write_table and `sample` write is plain.
-_PLAIN_HEADER = bytes(range(0x20, 0x7F)) + b"\t"
+# A block of plain bytes goes through numpy's C text reader, which reads
+# them as float() does.  Everything _write_table and `sample` write is plain.
 _PLAIN_BODY = b"0123456789+-.eE, \t\r\n"
-_SCAN_BYTES = 1 << 20
+# Bytes per read: np.loadtxt's per-call overhead is small beside a block this
+# size, and a block's text and lines stay far below the table.
+_READ_BYTES = 1 << 16
 
 
 def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
     """Read a CSV table into an (N, k) array, enforcing the header and finite cells.
 
-    A UTF-8 byte order mark is dropped.  Blank lines are skipped and not
-    counted: messages number the data rows from 1, as _map_rows does.  A
-    plain table streams through numpy's C text reader; any other file, and
-    any plain one that reader refuses, goes through _parse_rows, one float()
-    per cell, which gives the same values and names the first bad row and
-    column.
+    The file is opened once and read in one pass, block by block (_blocks),
+    so a pipe reads as a regular file does, and memory holds the table and
+    one block.  A UTF-8 byte order mark is dropped.  Blank lines are skipped
+    and not counted: messages number the data rows from 1, as _map_rows
+    does.  After the first bad row the rest of the file is only decoded, so
+    a file that is not UTF-8 exits 2 even where an earlier row is bad.
     """
-    table = _read_plain(path, expected_header)
-    if table is not None:
-        return table
+    k = len(expected_header)
+    values = array("d")
+    error, offset = None, 0
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(EXIT_USAGE, f"cannot read {path}: {exc}")
-    if not lines:
-        raise CliError(EXIT_USAGE, f"{path} is empty, expected a header row")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header != expected_header:
-        raise CliError(
-            EXIT_USAGE,
-            f"{path}: expected columns {','.join(expected_header)}, "
-            f"found {','.join(header)}",
-        )
-    return _parse_rows(path, header, [line for line in lines[1:] if line.strip()])
-
-
-def _read_plain(path: str, expected_header: list[str]) -> np.ndarray | None:
-    """The table of a plain file with the expected header and finite cells, else None.
-
-    The body is checked in blocks of _SCAN_BYTES and then parsed from the
-    open file, so no copy of the whole text is held.  np.loadtxt reads the
-    lines as splitlines() would (universal newlines), skips empty ones and
-    strips spaces and tabs around each cell as float() does.  Raises and
-    prints nothing: a file it declines is left to _parse_rows.  Only a
-    regular file is read, since the caller then reads the file again, and a
-    pipe gives its bytes once.
-    """
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
         with open(path, "rb") as raw:
-            block = raw.read(_SCAN_BYTES)
-            ends = [i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0]
-            if not ends:
-                return None
-            body_start = min(ends)
-            header = block[:body_start].removeprefix(codecs.BOM_UTF8)
-            if header.translate(None, _PLAIN_HEADER) or (
-                [c.strip() for c in header.decode("ascii").split(",")] != expected_header
-            ):
-                return None
-            block, has_data, has_blanks = block[body_start:], False, False
-            while block:
-                if block.translate(None, _PLAIN_BODY):
-                    return None
-                has_data = has_data or not block.isspace()
-                has_blanks = has_blanks or b" " in block or b"\t" in block
-                block = raw.read(_SCAN_BYTES)
-            if not has_data:  # np.loadtxt would warn of empty input
-                return None
-            raw.seek(body_start)
-            with io.TextIOWrapper(raw, encoding="ascii") as text:
-                # np.loadtxt refuses a whitespace-only line: with blanks in
-                # the body, lines that hold nothing else are dropped first
-                lines = filter(str.strip, text) if has_blanks else text
-                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError):
-        return None
-    if table.shape[1] != len(expected_header) or not np.isfinite(table).all():
-        return None
-    return table
+            for block in _blocks(raw):
+                text = block.decode("utf-8")
+                first = offset == 0
+                offset += len(block)
+                if error is not None:
+                    continue
+                try:
+                    if first:
+                        text = _body(path, expected_header, text.removeprefix("\ufeff"))
+                        block = text.encode()
+                    _parse_rows(values, path, expected_header, block, text)
+                except CliError as exc:
+                    error = exc
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(
+            EXIT_USAGE, f"cannot read {path}: byte {offset + exc.start} is not UTF-8: {exc.reason}"
+        )
+    except MemoryError:
+        raise _out_of_memory(path, f"more than {len(values) // k}")
+    if error is not None:
+        raise error
+    return np.frombuffer(values).reshape(-1, k)
 
 
-def _parse_rows(path: str, header: list[str], lines: list[str]) -> np.ndarray:
-    """Parse data lines into an (N, k) array; the first line is data row 1.
+def _blocks(raw) -> Iterator[bytes]:
+    """The bytes of raw in blocks of about _READ_BYTES, each cut after a CR or LF.
 
-    Each row is parsed with one float() per cell, and again with stripped
-    cells where that fails (str.strip() drops characters such as \\x1f that
-    float() keeps).  The first row with the wrong cell count, a cell neither
-    parse takes or a non-finite value is named by _row_error.
+    The last block, maybe empty, holds the bytes after the last CR or LF.  A
+    CRLF pair split between two blocks gives an empty line, which is skipped.
+    """
+    pending = bytearray()
+    while chunk := raw.read(_READ_BYTES):
+        pending += chunk
+        end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if end:
+            cut = len(pending) - len(chunk) + end
+            yield bytes(pending[:cut])
+            del pending[:cut]
+    yield bytes(pending)
+
+
+def _body(path: str, expected_header: list[str], text: str) -> str:
+    """The text of the first block after its header line, which must be the expected one."""
+    if not text:
+        raise CliError(EXIT_USAGE, f"{path} is empty, expected a header row")
+    line = text.splitlines()[0]
+    header, want = ",".join(c.strip() for c in line.split(",")), ",".join(expected_header)
+    if header != want:
+        raise CliError(EXIT_USAGE, f"{path}: expected columns {want}, found {header}")
+    return text[len(line) :]
+
+
+def _parse_rows(values: array, path: str, header: list[str], data: bytes, text: str) -> None:
+    """Append to values the rows of a block's non-blank lines, given its bytes and text.
+
+    A block of plain bytes goes through np.loadtxt.  Any other block, and a
+    plain one that np.loadtxt refuses or reads as non-finite, is parsed with
+    one float() per cell, and again with stripped cells where that fails
+    (str.strip() drops characters such as \\x1f that float() keeps).  The
+    first row with the wrong cell count, a cell neither parse takes or a
+    non-finite value is named by _row_error, counting the rows before it.
     """
     k = len(header)
-    values = array("d")
-    bad = len(lines)
+    lines = text.splitlines()
+    if not data.translate(None, _PLAIN_BODY) and text.strip():  # np.loadtxt warns of empty input
+        with contextlib.suppress(ValueError):  # refused: a whitespace-only line, say
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if rows.shape[1] == k and np.isfinite(rows).all():
+                values.frombytes(rows.tobytes())
+                return
+    lines = [line for line in lines if line.strip()]
+    start, bad = len(values), len(lines)
     for ridx, line in enumerate(lines):
         cells = line.split(",")
         if len(cells) != k:
@@ -193,19 +193,18 @@ def _parse_rows(path: str, header: list[str], lines: list[str]) -> np.ndarray:
         try:
             values.extend(map(float, cells))
         except ValueError:
-            del values[ridx * k :]
+            del values[start + ridx * k :]
             try:
                 values.extend([float(c.strip()) for c in cells])
             except ValueError:
                 bad = ridx
                 break
-    table = np.frombuffer(values, count=bad * k).reshape(bad, k)
-    finite = np.isfinite(table).all(axis=1)
+    # values[start:] is a copy: a view would keep values from growing
+    finite = np.isfinite(np.frombuffer(values[start:])).reshape(bad, k).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
     if bad < len(lines):
-        raise _row_error(path, header, bad + 1, lines[bad])
-    return table
+        raise _row_error(path, header, start // k + bad + 1, lines[bad])
 
 
 def _row_error(path: str, header: list[str], ridx: int, line: str) -> CliError:
@@ -441,8 +440,8 @@ _CLARKE = ["rho_re", "rho_im"]
 _BLOCK_ROWS = 8192
 
 
-def _out_of_memory(command: str, rows: int) -> CliError:
-    return CliError(EXIT_USAGE, f"{command}: not enough memory for {rows} rows")
+def _out_of_memory(name: str, rows: int | str) -> CliError:
+    return CliError(EXIT_USAGE, f"{name}: not enough memory for {rows} rows")
 
 
 def _empty(command: str, shape: tuple, dtype=np.float64) -> np.ndarray:

@@ -1,10 +1,11 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from clarke_kinematics import RobotGeometry, forward_transform
+from clarke_kinematics import RobotGeometry, cli, forward_transform
 from clarke_kinematics.cli import main
 
 
@@ -410,3 +411,14 @@ class TestEndToEnd:
         ):
             assert main(argv) == 2
             assert str(path) in capsys.readouterr().err
+        # read in 16-byte blocks, a byte that is not UTF-8 in a later block
+        # still outranks row 1, bad or good: exit 2, and nothing is written
+        out = tmp_path / "o.csv"
+        for first_row in (b"x,0\n", b"0.001,0\n"):
+            clarke.write_bytes(b"rho_re,rho_im\n" + first_row + b"0.001,0\n" * 8 + b"0,\xff\n")
+            with mock.patch.object(cli, "_READ_BYTES", 16):
+                code = main(["fk", "--geometry", geom, "--input", str(clarke), "--output", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith(f"error: cannot read {clarke}: ")
+            assert not out.exists()

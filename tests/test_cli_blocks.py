@@ -3,7 +3,8 @@
 Every block size must give the bytes, messages and exit codes of one block
 over the whole table, and the memory a command holds beyond its input and
 output tables must not grow with the row count.  main builds its parser
-once, and running out of memory exits 2 without a traceback.
+once, and running out of memory, for a table or while reading one, exits 2
+without a traceback.
 """
 
 import contextlib
@@ -194,3 +195,26 @@ def test_membership_flags_out_of_memory_exits_2(tmp_path):
         rc, out, err = _run(argv)
     assert rc == cli.EXIT_USAGE and "membership:" not in out
     assert err == "error: check: not enough memory for 5 rows\n"
+
+
+def _loadtxt_out_of_memory():
+    """np.loadtxt runs out of memory, as it does on a table past `ulimit -v`."""
+    return mock.patch.object(np, "loadtxt", side_effect=MemoryError)
+
+
+def test_reader_out_of_memory_exits_2(tmp_path):
+    argv = _fk_argv(tmp_path, BENT, "analytic-branch")
+    with _loadtxt_out_of_memory():
+        result = _run(argv)
+    path = tmp_path / "in.csv"
+    assert result == (cli.EXIT_USAGE, "", f"error: {path}: not enough memory for more than 0 rows\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_membership_reader_out_of_memory_exits_2(tmp_path):
+    path = _csv(tmp_path / "rho.csv", [f"rho_{i}" for i in range(1, 5)], np.zeros((5, 4)))
+    argv = ["check", "--geometry", _geometry(tmp_path, 4), "--n-max", "4", "--membership", path]
+    with _loadtxt_out_of_memory():
+        rc, out, err = _run(argv)
+    assert rc == cli.EXIT_USAGE and "membership:" not in out
+    assert err == f"error: {path}: not enough memory for more than 0 rows\n"

@@ -1,9 +1,11 @@
 """The CSV reader against the per-cell reference parser, on generated text.
 
-reference_read_table is the reader as it was before plain files streamed
-through numpy's C text reader: one float() per stripped cell.  Both must
-accept the same files with the same values, and reject the same files with
-the same exit code and message.  cli.main must never raise and must return a
+reference_read_table is the reader as it was before plain blocks streamed
+through numpy's C text reader: one float() per stripped cell over the whole
+text.  Both must accept the same files with the same values, and reject the
+same files with the same exit code and message, at the default block size
+and at 128-byte blocks, whose edges split lines, CRLF pairs and runs of
+plain and other bytes.  cli.main must never raise and must return a
 documented exit code.
 """
 
@@ -79,6 +81,7 @@ COMMANDS = [
 CELLS = ["0", "1.5", "-3e-5", " 2 ", "\t4", "1_0", "+.5", "1e-320", "1e300", "1e308",
          "nan", "inf", "-inf", "1e999", "", " ", "x", "#7", "0x1", "\xa01", "\x1f1", "١"]
 LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\x0b", " "]
+READ_BYTES = [128, cli._READ_BYTES]
 
 
 @st.composite
@@ -121,8 +124,8 @@ def _main(argv):
 
 
 @settings(max_examples=200, deadline=None)
-@given(csv_files())
-def test_reader_matches_reference_and_main_never_raises(workdir, case):
+@given(csv_files(), st.sampled_from(READ_BYTES))
+def test_reader_matches_reference_and_main_never_raises(workdir, case, read_bytes):
     n, header, argv, text = case
     path = workdir / "in.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -130,9 +133,10 @@ def test_reader_matches_reference_and_main_never_raises(workdir, case):
     out.unlink(missing_ok=True)
 
     want, want_error = _outcome(reference_read_table, str(path), header)
-    got, got_error = _outcome(cli._read_table, str(path), header)
-    code, stderr = _main(argv + ["--geometry", str(workdir / f"g{n}.json"),
-                                 "--input", str(path), "--output", str(out)])
+    with mock.patch.object(cli, "_READ_BYTES", read_bytes):
+        got, got_error = _outcome(cli._read_table, str(path), header)
+        code, stderr = _main(argv + ["--geometry", str(workdir / f"g{n}.json"),
+                                     "--input", str(path), "--output", str(out)])
     assert got_error == want_error
     if want_error is None:
         np.testing.assert_array_equal(got, want.reshape(-1, len(header)))
@@ -200,33 +204,34 @@ def _strict_outcome(read, *args):
 
 
 def _assert_reads_as_reference(path, header):
+    """The reference's outcome, and whether any block went through np.loadtxt."""
     want, want_error = _outcome(reference_read_table, str(path), header)
-    got, got_error = _strict_outcome(cli._read_table, str(path), header)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got, got_error = _strict_outcome(cli._read_table, str(path), header)
     assert got_error == want_error
     if want_error is None:
         want = want.reshape(-1, len(header))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()  # -0.0 included
-    return want_error
+    return want_error, loadtxt.called
 
 
 @settings(max_examples=300, deadline=None)
-@given(plain_files(), st.sampled_from([128, cli._SCAN_BYTES]))
-def test_plain_files_match_reference(tmp_path_factory, case, scan_bytes):
-    # 128 bytes hold the longest header; lines then cross block boundaries
+@given(plain_files(), st.sampled_from(READ_BYTES))
+def test_plain_files_match_reference(tmp_path_factory, case, read_bytes):
     header, text = case
     path = tmp_path_factory.mktemp("plain") / "in.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(cli, "_SCAN_BYTES", scan_bytes):
-        error = _assert_reads_as_reference(path, header)
-        if error is None and any(map(str.strip, text.splitlines()[1:])):
-            assert cli._read_plain(str(path), header) is not None  # data: the C reader took it
+    with mock.patch.object(cli, "_READ_BYTES", read_bytes):
+        error, fast = _assert_reads_as_reference(path, header)
+    if error is None and any(map(str.strip, text.splitlines()[1:])):
+        assert fast  # data: the C reader took a block
 
 
 @pytest.mark.parametrize("text,fast", [
     ("\ufeffrho_re,rho_im\r\n1,2\r\n\r\n-0,5e-324\r\n", True),
     ("rho_re , rho_im\r1,2\r3,4", True),
-    ("rho_re,rho_im\n1e999,0\n", False),  # the C reader gives inf: exit 3
-    ("rho_re,rho_im\n1,2\n \n", True),  # the whitespace-only line is dropped first
+    ("rho_re,rho_im\n1e999,0\n", True),  # the C reader gives inf, float() names it: exit 3
+    ("rho_re,rho_im\n1,2\n \n", True),  # refused for its whitespace-only line: float() reads it
     ("rho_re,rho_im\r\n\t\r\n 1, 2\r\n\r\n3 ,4\t\r\n", True),
     ("rho_re,rho_im\n1,\x0c2\n", False),  # a line break to splitlines(), space to loadtxt
     ("rho_re,rho_im\n1\x0b,2\n", False),
@@ -243,8 +248,7 @@ def test_plain_files_match_reference(tmp_path_factory, case, scan_bytes):
 def test_edge_files_read_as_reference(tmp_path, text, fast):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
-    _assert_reads_as_reference(path, ["rho_re", "rho_im"])
-    assert (cli._read_plain(str(path), ["rho_re", "rho_im"]) is not None) == fast
+    assert _assert_reads_as_reference(path, ["rho_re", "rho_im"])[1] == fast
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
@@ -282,20 +286,27 @@ def test_pipe_reads_as_reference(tmp_path, text):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("blank", ["", "  \n"])
-def test_plain_read_holds_about_the_table(tmp_path, blank):
-    """Reading a plain file peaks below twice the table's bytes plus 2 MiB.
+@pytest.mark.parametrize("line,row", [
+    ("", None),
+    ("  \n", None),  # whitespace only: plain bytes
+    ("1_0" + ",0" * 11 + "\n", 10.0),  # outside the plain alphabet: float() reads it
+    ("\xa01\xa0" + ",0" * 11 + "\n", 1.0),  # padded with non-breaking spaces: not ASCII
+])
+def test_plain_read_holds_about_the_table(tmp_path, line, row):
+    """Reading a file peaks below twice the table's bytes plus 2 MiB.
 
     A reader that holds the whole text (about 2.7 times the table's bytes)
-    and a list of its lines does not.  A whitespace-only line in the middle
-    keeps the file plain.
+    and a list of its lines does not, nor does one that sends a whole file
+    to float() for one cell outside the plain alphabet (6.1 times).  The line
+    is put in the middle of the file.
     """
     header = [f"rho_{i}" for i in range(1, 13)]
     table = np.random.default_rng(7).normal(scale=0.01, size=(20_000, 12))
     path = tmp_path / "wide.csv"
     cli._write_table(str(path), header, table)
     lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:10_000] + [blank] + lines[10_000:]))
+    path.write_text("".join(lines[:10_000] + [line] + lines[10_000:]), encoding="utf-8")
+    want = table if row is None else np.insert(table, 9_999, [row] + [0.0] * 11, axis=0)
     path = str(path)
     tracemalloc.start()
     try:
@@ -303,5 +314,5 @@ def test_plain_read_holds_about_the_table(tmp_path, blank):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.tobytes() == table.tobytes()
+    assert got.tobytes() == want.tobytes()
     assert peak < 2 * table.nbytes + 2 * 2**20
