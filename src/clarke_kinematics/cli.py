@@ -1,8 +1,8 @@
 """Batch CLI: CSV trajectory transforms, conversions, sampling, FK, self-check.
 
-Exit codes: 0 success, 1 identity failure, 2 usage or schema error, 3 cell
-parse error, 4 domain error (a row whose result is not finite, or
-avoid-straight at a straight configuration).
+Exit codes: 0 success, 1 identity failure, 2 usage or schema error (a
+failed write to stdout included), 3 cell parse error, 4 domain error (a row
+whose result is not finite, or avoid-straight at a straight configuration).
 The identity tolerance of `check` can be overridden with the environment
 variable CLARKE_KIN_TOL.  `check --n-max` is at most 256 (_N_MAX_LIMIT), because
 the suite builds an n x n projector for every joint count up to it.
@@ -444,8 +444,8 @@ def _out_of_memory(name: str, rows: int | str) -> CliError:
     return CliError(EXIT_USAGE, f"{name}: not enough memory for {rows} rows")
 
 
-def _empty(command: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An array of shape in pages mapped for it alone, or exit 2 naming the row count.
+def _empty(command: str, shape: tuple[int, int]) -> np.ndarray:
+    """A float64 array of shape in pages mapped for it alone, or exit 2 naming the row count.
 
     The pages (an anonymous mmap) go back to the OS with the array.  np.empty
     would take them from malloc, and once a block this size has been freed
@@ -456,10 +456,10 @@ def _empty(command: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """
     count = math.prod(shape)
     try:
-        pages = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+        pages = mmap.mmap(-1, max(1, 8 * count))  # 8 bytes a float64
     except (MemoryError, OSError):  # the OS refused the map
         raise _out_of_memory(command, shape[0])
-    return np.frombuffer(pages, dtype, count).reshape(shape)
+    return np.frombuffer(pages, np.float64, count).reshape(shape)
 
 
 def _map_blocks(rows_fn, table: np.ndarray, out: np.ndarray) -> int | None:
@@ -591,6 +591,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
         tol = _identity_tolerance(args.tol)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
+
+    # the membership file first, so that an error in it leaves stdout empty
+    membership_failures = 0
+    if args.membership is not None:
+        rows = _read_table(args.membership, _joint_header("rho", geometry.n))
+        inside = 0
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            flags = joint_space.contains_rows(
+                geometry, rows[start : start + _BLOCK_ROWS], tol=args.membership_tol
+            )
+            inside += int(np.count_nonzero(flags))
+        membership_failures = len(rows) - inside
+
     results = identities.run_identity_suite(
         d=geometry.d, l=geometry.l, n_max=args.n_max, tol=tol
     )
@@ -602,18 +615,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"{r.name:<{width}}  {r.n:>3}  {r.residual:>12.3e}  {r.tolerance:>10.1e}  {status}"
         )
     failures = [r for r in results if not r.passed]
-
-    membership_failures = 0
     if args.membership is not None:
-        rows = _read_table(args.membership, _joint_header("rho", geometry.n))
-        inside_rows = _empty("check", (len(rows),), bool)
-        _map_blocks(
-            lambda block: joint_space.contains_rows(geometry, block, tol=args.membership_tol),
-            rows,
-            inside_rows,
-        )
-        inside = int(np.count_nonzero(inside_rows))
-        membership_failures = len(rows) - inside
         print(
             f"membership: {inside}/{len(rows)} rows inside the joint space "
             f"(tol {args.membership_tol:.1e})"
@@ -709,16 +711,26 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:  # argparse printed the help or a usage error
+            code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # here, not at interpreter exit, where a failure would escape
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # every file but stdout turns its OSError into a CliError
+        # fd 1 now takes what is left in stdout's buffer, so the flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

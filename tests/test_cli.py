@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -22,6 +25,24 @@ def write_csv(path, header, rows):
     lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def run_check(tmp_path, n_max, stdout, unbuffered=False):
+    """Start `check` in a child process, with stdout as given and stderr piped."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "clarke_kinematics.cli", "check",
+            "--geometry", write_geometry(tmp_path / "g.json"), "--n-max", str(n_max)]
+    return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def assert_stdout_error(proc):
+    """Exit 2 with one stderr line naming stdout, and no traceback."""
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 2
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1, err
 
 
 def read_csv(path):
@@ -367,6 +388,20 @@ class TestCheck:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_closed_stdout_pipe_exits_2(self, tmp_path):
+        """check --n-max 200 | head -1: the report outgrows the pipe, whose reader has gone."""
+        proc = run_check(tmp_path, 200, subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"identity ")
+        proc.stdout.close()
+        assert_stdout_error(proc)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_stdout_exits_2(self, tmp_path, unbuffered):
+        """Buffered, the write fails in main's flush; unbuffered, in the first print."""
+        with open("/dev/full", "wb") as full:
+            proc = run_check(tmp_path, 4, full, unbuffered)
+        assert_stdout_error(proc)
+
     def test_membership_failure_exits_1(self, tmp_path, capsys):
         geom = write_geometry(tmp_path / "g.json")
         bad = write_csv(tmp_path / "bad.csv", ["rho_1", "rho_2", "rho_3", "rho_4"],
@@ -410,7 +445,10 @@ class TestEndToEnd:
             (["check", "--geometry", str(bad_geom), "--n-max", "4"], bad_geom),
         ):
             assert main(argv) == 2
-            assert str(path) in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert str(path) in captured.err
+            if argv[0] == "check":
+                assert captured.out == ""
         # read in 16-byte blocks, a byte that is not UTF-8 in a later block
         # still outranks row 1, bad or good: exit 2, and nothing is written
         out = tmp_path / "o.csv"

@@ -120,7 +120,7 @@ def _main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,8 +135,8 @@ def test_reader_matches_reference_and_main_never_raises(workdir, case, read_byte
     want, want_error = _outcome(reference_read_table, str(path), header)
     with mock.patch.object(cli, "_READ_BYTES", read_bytes):
         got, got_error = _outcome(cli._read_table, str(path), header)
-        code, stderr = _main(argv + ["--geometry", str(workdir / f"g{n}.json"),
-                                     "--input", str(path), "--output", str(out)])
+        code, stderr, _ = _main(argv + ["--geometry", str(workdir / f"g{n}.json"),
+                                        "--input", str(path), "--output", str(out)])
     assert got_error == want_error
     if want_error is None:
         np.testing.assert_array_equal(got, want.reshape(-1, len(header)))
@@ -159,10 +159,12 @@ def test_check_membership_never_raises(workdir, case, membership_tol):
             "--membership", str(path)]
     if membership_tol is not None:
         argv += ["--membership-tol", membership_tol]
-    code, _ = _main(argv)
+    code, _, stdout = _main(argv)
     assert code in range(5)
     if membership_tol in ("0", "-1", "nan", "inf"):
         assert code == cli.EXIT_USAGE
+    if code in (cli.EXIT_USAGE, cli.EXIT_PARSE):  # the file is read before anything prints
+        assert stdout == ""
 
 
 # Cells over the plain alphabet: %.17g values, subnormals, -0 and an overflow

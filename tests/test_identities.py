@@ -2,7 +2,15 @@ import math
 
 import pytest
 
+from clarke_kinematics import identities, legacy
+from clarke_kinematics.core import ClarkeCoords
 from clarke_kinematics.identities import run_identity_suite
+
+SCHEME_CHECKS = sorted(f"scheme_equivalence_{s.value}" for s in legacy.LegacyScheme)
+
+
+def _failed(results):
+    return sorted(r.name for r in results if not r.passed)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True])
@@ -10,3 +18,37 @@ def test_suite_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
         run_identity_suite(d=0.01, l=0.1, n_max=4, tol=tol)
 
+
+def test_a_wrong_clarke_route_fails_exactly_the_scheme_identities(monkeypatch):
+    forward = identities.forward_transform
+
+    def mirrored(geometry, rho):
+        re, im = forward(geometry, rho)
+        return ClarkeCoords(re, -im)
+
+    monkeypatch.setattr(identities, "forward_transform", mirrored)
+    assert _failed(run_identity_suite(d=0.01, l=0.1, n_max=4)) == SCHEME_CHECKS
+
+
+@pytest.mark.parametrize("scheme", list(legacy.LegacyScheme), ids=lambda s: s.value)
+def test_a_wrong_published_pair_fails_only_its_scheme(monkeypatch, scheme):
+    published = legacy._pair_from_displacements
+
+    def scaled(which, rho, d):
+        p1, p2 = published(which, rho, d)
+        if which is scheme:
+            return p1 * (1 + 1e-9), p2 * (1 + 1e-9)
+        return p1, p2
+
+    monkeypatch.setattr(legacy, "_pair_from_displacements", scaled)
+    results = run_identity_suite(d=0.01, l=0.1, n_max=4)
+    assert _failed(results) == [f"scheme_equivalence_{scheme.value}"]
+
+
+@pytest.mark.parametrize("d", [1e-6, 1e-4, 0.01, 1.0, 1e3])
+def test_scheme_identities_hold_within_four_ulp_on_the_basis(d):
+    """The two routes of each scheme differ by at most 4 * 2**-52 of the pair's scale."""
+    schemes = [r for r in run_identity_suite(d=d, l=0.1, n_max=4) if r.name in SCHEME_CHECKS]
+    assert sorted(r.name for r in schemes) == SCHEME_CHECKS
+    for r in schemes:
+        assert r.residual <= 4 * 2**-52, (r.name, r.residual)
