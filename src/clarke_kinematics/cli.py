@@ -15,11 +15,14 @@ import contextlib
 import functools
 import json
 import math
-import mmap
 import os
+import shutil
+import stat
 import sys
+import tempfile
 from array import array
 from collections.abc import Iterator
+from typing import BinaryIO
 
 import numpy as np
 
@@ -83,9 +86,9 @@ def load_geometry(path: str) -> RobotGeometry:
         raise CliError(EXIT_USAGE, f"invalid geometry in {path}: {exc}")
 
 
-# Cells per chunk when formatting tables: large enough that numpy's per-call
-# overhead vanishes, small enough that a chunk's temporaries (about 200 bytes a
-# cell) stay near 2 MB however long the file is.
+# Cells per block when mapping and writing a table, or counting its members:
+# large enough that numpy's per-call overhead vanishes, small enough that a
+# block's temporaries (about 200 bytes a cell) stay near 2 MB however long the file is.
 _CHUNK_CELLS = 8192
 
 # A block of plain bytes goes through numpy's C text reader, which reads
@@ -102,7 +105,7 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
     The file is opened once and read in one pass, block by block (_blocks),
     so a pipe reads as a regular file does, and memory holds the table and
     one block.  A UTF-8 byte order mark is dropped.  Blank lines are skipped
-    and not counted: messages number the data rows from 1, as _map_rows
+    and not counted: messages number the data rows from 1, as _write_table
     does.  After the first bad row the rest of the file is only decoded, so
     a file that is not UTF-8 exits 2 even where an earlier row is bad.
     """
@@ -232,21 +235,74 @@ def _row_error(path: str, header: list[str], ridx: int, line: str) -> CliError:
     raise AssertionError(f"{path}: row {ridx} has no bad cell")
 
 
-def _write_table(path: str, header: list[str], rows: np.ndarray) -> None:
-    """Write the header and the rows of an (N, k) array, every value as %.17g.
+def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None) -> None:
+    """Publish the header and the rows of an (N, k) array, mapped by rows_fn if given.
 
-    The rows are formatted about _CHUNK_CELLS cells at a time by
-    _format_rows, which gives the bytes b"%.17g" % v gives for every value.
+    Blocks of max(1, _CHUNK_CELLS // k) rows are mapped, checked and written
+    by _format_rows (the bytes of b"%.17g" % v for every value) into the
+    file _published gives.  Nothing is published unless every row maps to
+    finite values; otherwise exit 4 names the data row: under avoid-straight
+    the first straight row (every block is mapped, so a later one still
+    comes first), else the first row with a non-finite result.
     """
-    rows = np.asarray(rows, dtype=np.float64)
     step = max(1, _CHUNK_CELLS // len(header))
+    bad = None
     try:
-        with open(path, "wb") as fh:
+        with _published(path) as fh, np.errstate(all="ignore"):
             fh.write(",".join(header).encode("utf-8") + b"\n")
             for start in range(0, len(rows), step):
-                fh.write(_format_rows(rows[start : start + step]))
+                block = rows[start : start + step]
+                if rows_fn is not None:
+                    block = rows_fn(block)
+                    if bad is None and not (finite := np.isfinite(block)).all():
+                        i, j = divmod(int(finite.argmin()), len(header))
+                        bad = (f"row {start + i + 1}: column {header[j]} is {block[i, j]}; "
+                               "the input is outside the finite domain of the map")
+                if bad is None:
+                    fh.write(_format_rows(block))
+            if bad is not None:
+                raise CliError(EXIT_DOMAIN, bad)
+    except StraightConfigurationError as exc:  # its row counts from the start of the block
+        raise CliError(EXIT_DOMAIN, f"row {start + exc.row + 1}: {exc}")
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot write {path}: {exc}")
+
+
+@contextlib.contextmanager
+def _published(path: str) -> Iterator[BinaryIO]:
+    """A binary file whose bytes become path's, whole, once the with-block succeeds.
+
+    It is a temporary file beside path's resolved target, with an existing
+    output's permission bits or else those open gives, which os.replace puts
+    in place, and which any failure (KeyboardInterrupt included) removes.
+    An existing output that is not a regular file (a FIFO, /dev/stdout) is
+    never replaced: it is opened first, and filled from an unnamed temporary
+    file at the end.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
+        with open(path, "wb") as fh, tempfile.TemporaryFile() as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, fh)
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    fd, temp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head)
+    try:
+        with open(fd, "wb") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 # %.17g without a Python call per cell.  A nonzero finite x with decimal
@@ -433,86 +489,19 @@ def _joint_header(prefix: str, n: int) -> list[str]:
 _CLARKE = ["rho_re", "rho_im"]
 
 
-# Rows per block when mapping tables: a block's kernel temporaries (a traced
-# peak of about 27 float64 columns, 1.7 MiB, for fk and contains_rows) stay
-# the same however long the file is, and numpy's per-call overhead is small
-# beside 8192 rows.
-_BLOCK_ROWS = 8192
-
-
 def _out_of_memory(name: str, rows: int | str) -> CliError:
     return CliError(EXIT_USAGE, f"{name}: not enough memory for {rows} rows")
 
 
-def _empty(command: str, shape: tuple[int, int]) -> np.ndarray:
-    """A float64 array of shape in pages mapped for it alone, or exit 2 naming the row count.
-
-    The pages (an anonymous mmap) go back to the OS with the array.  np.empty
-    would take them from malloc, and once a block this size has been freed
-    glibc serves the next one from its heap, which keeps the pages after the
-    command (in 2 MB units where numpy advised huge pages): the peak RSS of
-    the fk-n4 benchmark then varied from 61 to 74 MB between runs, against
-    63-66 MB with a map.
-    """
-    count = math.prod(shape)
-    try:
-        pages = mmap.mmap(-1, max(1, 8 * count))  # 8 bytes a float64
-    except (MemoryError, OSError):  # the OS refused the map
-        raise _out_of_memory(command, shape[0])
-    return np.frombuffer(pages, np.float64, count).reshape(shape)
-
-
-def _map_blocks(rows_fn, table: np.ndarray, out: np.ndarray) -> int | None:
-    """Fill out with rows_fn(table), _BLOCK_ROWS rows at a time.
-
-    Returns the flat index in out of its first entry that is not finite, or
-    None.  Every block is mapped, even after one with a non-finite entry, so
-    that a StraightConfigurationError (avoid-straight) from a later block
-    still comes first; its `row` is made an index into table.
-    """
-    bad = None
-    with np.errstate(all="ignore"):
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = out[start : start + _BLOCK_ROWS]
-            try:
-                block[...] = rows_fn(table[start : start + _BLOCK_ROWS])
-            except StraightConfigurationError as exc:
-                exc.row += start
-                raise
-            if bad is None:
-                finite = np.isfinite(block)
-                if not finite.all():
-                    bad = start * finite[0].size + int(finite.argmin())
-    return bad
-
-
 def _map_rows(args: argparse.Namespace) -> int:
-    """Run a row command: map the rows of --input to the rows of --output.
-
-    args.plan(args, geometry) picks the input header, the output header and
-    the array function, which _map_blocks runs over blocks of _BLOCK_ROWS
-    rows into one preallocated output table, so that the kernels'
-    temporaries do not grow with the file.  Nothing is written unless every
-    row maps to finite values; otherwise exit 4 names the data row: under
-    avoid-straight the first straight row, else the first row with a
-    non-finite result.
-    """
+    """Map the rows of --input to --output by the headers and function args.plan picks."""
     geometry = load_geometry(args.geometry)
     in_header, out_header, rows_fn = args.plan(args, geometry)
     table = _read_table(args.input, in_header)
-    out = _empty(args.command, (len(table), len(out_header)))
     try:
-        bad = _map_blocks(rows_fn, table, out)
-    except StraightConfigurationError as exc:
-        raise CliError(EXIT_DOMAIN, f"row {exc.row + 1}: {exc}")
-    if bad is not None:
-        ridx, col = divmod(bad, len(out_header))
-        raise CliError(
-            EXIT_DOMAIN,
-            f"row {ridx + 1}: column {out_header[col]} is {out[ridx, col]}; "
-            "the input is outside the finite domain of the map",
-        )
-    _write_table(args.output, out_header, out)
+        _write_table(args.output, out_header, table, rows_fn)
+    except MemoryError:
+        raise _out_of_memory(args.command, len(table))
     return EXIT_OK
 
 
@@ -596,10 +585,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     membership_failures = 0
     if args.membership is not None:
         rows = _read_table(args.membership, _joint_header("rho", geometry.n))
-        inside = 0
-        for start in range(0, len(rows), _BLOCK_ROWS):
+        inside, step = 0, max(1, _CHUNK_CELLS // geometry.n)
+        for start in range(0, len(rows), step):
             flags = joint_space.contains_rows(
-                geometry, rows[start : start + _BLOCK_ROWS], tol=args.membership_tol
+                geometry, rows[start : start + step], tol=args.membership_tol
             )
             inside += int(np.count_nonzero(flags))
         membership_failures = len(rows) - inside
@@ -636,8 +625,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that does not drop the OSError of a write to stdout (--help)."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is sys.stdout and message:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clarke-kin",
         description="Clarke-coordinate transforms and constant-curvature kinematics "
         "for displacement-actuated continuum robots.",
@@ -719,11 +718,11 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args)
         sys.stdout.flush()  # here, not at interpreter exit, where a failure would escape
         return code
-    except CliError as exc:
+    except (CliError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
+    except KeyboardInterrupt:  # an output being written has been removed by then
+        print("error: interrupted", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # every file but stdout turns its OSError into a CliError
         # fd 1 now takes what is left in stdout's buffer, so the flush at exit succeeds

@@ -27,15 +27,20 @@ def write_csv(path, header, rows):
     return str(path)
 
 
-def run_check(tmp_path, n_max, stdout, unbuffered=False):
-    """Start `check` in a child process, with stdout as given and stderr piped."""
+def run_cli(argv, stdout, unbuffered=False):
+    """Start clarke-kin in a child process, with stdout as given and stderr piped."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "clarke_kinematics.cli", "check",
-            "--geometry", write_geometry(tmp_path / "g.json"), "--n-max", str(n_max)]
+    argv = [sys.executable, "-m", "clarke_kinematics.cli", *argv]
     return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def run_check(tmp_path, n_max, stdout, unbuffered=False):
+    """Start `check` in a child process, with stdout as given and stderr piped."""
+    argv = ["check", "--geometry", write_geometry(tmp_path / "g.json"), "--n-max", str(n_max)]
+    return run_cli(argv, stdout, unbuffered)
 
 
 def assert_stdout_error(proc):
@@ -400,6 +405,14 @@ class TestCheck:
         """Buffered, the write fails in main's flush; unbuffered, in the first print."""
         with open("/dev/full", "wb") as full:
             proc = run_check(tmp_path, 4, full, unbuffered)
+        assert_stdout_error(proc)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["fk", "--help"]], ids=["main", "fk"])
+    def test_help_on_full_stdout_exits_2(self, argv, unbuffered):
+        """Unbuffered, the help's own write fails, which argparse would ignore."""
+        with open("/dev/full", "wb") as full:
+            proc = run_cli(argv, full, unbuffered)
         assert_stdout_error(proc)
 
     def test_membership_failure_exits_1(self, tmp_path, capsys):

@@ -1,14 +1,13 @@
-"""Row commands map their tables in blocks of cli._BLOCK_ROWS rows.
+"""Row commands map and write their tables in blocks of cli._CHUNK_CELLS cells.
 
 Every block size must give the bytes, messages and exit codes of one block
-over the whole table, and the memory a command holds beyond its input and
-output tables must not grow with the row count.  main builds its parser
-once, and running out of memory, for a table or while reading one, exits 2
-without a traceback.
+over the whole table, and the memory a command holds beyond its input table
+must not grow with the row count.  main builds its parser once, and running
+out of memory, while mapping a table or reading one, exits 2 without a
+traceback.
 """
 
 import contextlib
-import errno
 import gc
 import io
 import json
@@ -21,7 +20,7 @@ import pytest
 from clarke_kinematics import cli
 from test_cli_bytes import CASES, run_case
 
-BLOCK_SIZES = [1, 2, 3, cli._BLOCK_ROWS]
+BLOCK_SIZES = [1, 2, 3, None]  # rows per block; None: the default, _CHUNK_CELLS // columns
 CLARKE_HEADER = ["rho_re", "rho_im"]
 BENT = [[0.0123, -0.0045], [-0.021, 0.0173], [2.1e-7, -1.3e-7], [0.004, 0.002]]
 
@@ -37,6 +36,12 @@ def _csv(path, header, rows):
     return str(path)
 
 
+def _blocks_of(block_rows, columns):
+    """Patch _CHUNK_CELLS so that a table of that many columns goes block_rows rows at a time."""
+    cells = cli._CHUNK_CELLS if block_rows is None else block_rows * columns
+    return mock.patch.object(cli, "_CHUNK_CELLS", cells)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -46,10 +51,11 @@ def _run(argv):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_blocks_write_the_bytes_of_one_block(tmp_path, name):
-    with mock.patch.object(cli, "_BLOCK_ROWS", len(CASES[name][2])):
+    columns = run_case(tmp_path, name).splitlines()[0].count(",") + 1
+    with _blocks_of(len(CASES[name][2]), columns):
         whole = run_case(tmp_path, name)
     for block_rows in BLOCK_SIZES:
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        with _blocks_of(block_rows, columns):
             assert run_case(tmp_path, name) == whole
 
 
@@ -61,11 +67,11 @@ def test_blocks_give_the_membership_counts_of_one_block(tmp_path):
     rows[1::2] += rng.normal(scale=1e-3, size=(3, 4))  # three rows off the joint space
     argv = ["check", "--geometry", _geometry(tmp_path, 4), "--n-max", "4", "--membership",
             _csv(tmp_path / "rho.csv", [f"rho_{i}" for i in range(1, 5)], rows)]
-    with mock.patch.object(cli, "_BLOCK_ROWS", len(rows)):
+    with _blocks_of(len(rows), 4):
         whole = _run(argv)
     assert whole[0] == cli.EXIT_IDENTITY and "membership: 4/7 rows inside" in whole[1]
     for block_rows in BLOCK_SIZES:
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        with _blocks_of(block_rows, 4):
             assert _run(argv) == whole
 
 
@@ -79,7 +85,7 @@ def _fk_argv(tmp_path, rows, strategy):
 def test_avoid_straight_names_a_later_straight_row_first(tmp_path, block_rows):
     """Row 2 overflows and row 6 is straight: row 6 is named, as with one block."""
     rows = BENT[:1] + [[1e306, 1e306]] + BENT[1:] + [[0.0, 0.0], BENT[0]]
-    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    with _blocks_of(block_rows, 12):
         rc, out, err = _run(_fk_argv(tmp_path, rows, "avoid-straight"))
     assert rc == cli.EXIT_DOMAIN and out == ""
     assert err.startswith("error: row 6: bending angle 0.000e+00 below epsilon")
@@ -90,7 +96,7 @@ def test_avoid_straight_names_a_later_straight_row_first(tmp_path, block_rows):
 @pytest.mark.parametrize("strategy", ["analytic-branch", "avoid-straight"])
 def test_overflow_in_a_later_block_names_its_row_and_column(tmp_path, block_rows, strategy):
     rows = BENT + [[1e306, -1e306], [1e306, 1e306]]
-    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    with _blocks_of(block_rows, 12):
         rc, out, err = _run(_fk_argv(tmp_path, rows, strategy))
     assert rc == cli.EXIT_DOMAIN and out == ""
     assert err == (
@@ -113,8 +119,9 @@ def _traced_peak(argv):
 def test_fk_holds_its_input_and_a_fixed_budget(tmp_path, rows):
     """fk's traced peak stays within 3 MiB of its input table.
 
-    The output table is an anonymous map, which tracemalloc does not see, so
-    everything traced beyond the input must fit the budget.  Mapping the
+    No output table is held: each block is mapped, formatted and written
+    before the next, so everything traced beyond the input, the block's
+    kernel temporaries and text included, must fit the budget.  Mapping the
     whole table at once held about 12 columns of temporaries and a copy of
     the output: 9 MiB over the input and output tables at 80 000 rows.
     """
@@ -173,18 +180,13 @@ def test_sample_out_of_memory_exits_2(tmp_path):
     assert not out.exists()
 
 
-def _refuse_tables():
-    """The OS refuses every map, as it does past `ulimit -v`."""
-    refusal = OSError(errno.ENOMEM, "Cannot allocate memory")
-    return mock.patch.object(cli.mmap, "mmap", side_effect=refusal)
-
-
-def test_row_table_out_of_memory_exits_2(tmp_path):
+def test_row_mapping_out_of_memory_exits_2_and_publishes_nothing(tmp_path):
     argv = _fk_argv(tmp_path, BENT, "analytic-branch")
-    with _refuse_tables():
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    with mock.patch.object(cli, "forward_kinematics_rows", side_effect=MemoryError):
         result = _run(argv)
     assert result == (cli.EXIT_USAGE, "", f"error: fk: not enough memory for {len(BENT)} rows\n")
-    assert not (tmp_path / "out.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing  # no output, no temporary file
 
 
 def _loadtxt_out_of_memory():
