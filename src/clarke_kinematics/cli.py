@@ -172,11 +172,9 @@ def _parse_rows(values: array, path: str, header: list[str], data: bytes, text: 
     """Append to values the rows of a block's non-blank lines, given its bytes and text.
 
     A block of plain bytes goes through np.loadtxt.  Any other block, and a
-    plain one that np.loadtxt refuses or reads as non-finite, is parsed with
-    one float() per cell, and again with stripped cells where that fails
-    (str.strip() drops characters such as \\x1f that float() keeps).  The
-    first row with the wrong cell count, a cell neither parse takes or a
-    non-finite value is named by _row_error, counting the rows before it.
+    plain one that np.loadtxt refuses or reads as non-finite, is read one
+    stripped cell at a time by float(), up to the first row with the wrong
+    cell count or the first cell that is not a finite float, which is named.
     """
     k = len(header)
     lines = text.splitlines()
@@ -186,53 +184,23 @@ def _parse_rows(values: array, path: str, header: list[str], data: bytes, text: 
             if rows.shape[1] == k and np.isfinite(rows).all():
                 values.frombytes(rows.tobytes())
                 return
-    lines = [line for line in lines if line.strip()]
-    start, bad = len(values), len(lines)
-    for ridx, line in enumerate(lines):
+    for ridx, line in enumerate(filter(str.strip, lines), start=len(values) // k + 1):
         cells = line.split(",")
         if len(cells) != k:
-            bad = ridx
-            break
-        try:
-            values.extend(map(float, cells))
-        except ValueError:
-            del values[start + ridx * k :]
+            raise CliError(EXIT_USAGE, f"{path}: row {ridx} has {len(cells)} cells, expected {k}")
+        for name, cell in zip(header, cells):
+            cell = cell.strip()
             try:
-                values.extend([float(c.strip()) for c in cells])
+                value = float(cell)
             except ValueError:
-                bad = ridx
-                break
-    # values[start:] is a copy: a view would keep values from growing
-    finite = np.isfinite(np.frombuffer(values[start:])).reshape(bad, k).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-    if bad < len(lines):
-        raise _row_error(path, header, start // k + bad + 1, lines[bad])
-
-
-def _row_error(path: str, header: list[str], ridx: int, line: str) -> CliError:
-    """The CliError for data row ridx, a line _parse_rows could not take.
-
-    It names the wrong cell count, or else the first cell that is not a
-    finite float.
-    """
-    cells = [c.strip() for c in line.split(",")]
-    if len(cells) != len(header):
-        return CliError(
-            EXIT_USAGE, f"{path}: row {ridx} has {len(cells)} cells, expected {len(header)}"
-        )
-    for name, cell in zip(header, cells):
-        try:
-            value = float(cell)
-        except ValueError:
-            return CliError(
-                EXIT_PARSE, f"{path}: row {ridx}, column {name}: cannot parse {cell!r}"
-            )
-        if not math.isfinite(value):
-            return CliError(
-                EXIT_PARSE, f"{path}: row {ridx}, column {name}: non-finite value {cell!r}"
-            )
-    raise AssertionError(f"{path}: row {ridx} has no bad cell")
+                raise CliError(
+                    EXIT_PARSE, f"{path}: row {ridx}, column {name}: cannot parse {cell!r}"
+                )
+            if not math.isfinite(value):
+                raise CliError(
+                    EXIT_PARSE, f"{path}: row {ridx}, column {name}: non-finite value {cell!r}"
+                )
+            values.append(value)
 
 
 def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None) -> None:
@@ -547,11 +515,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     geometry = load_geometry(args.geometry)
     try:
         rows = joint_space.sample(geometry, args.phi_max, args.count, args.seed)
+        _write_table(args.output, _joint_header("rho", geometry.n), rows)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
     except MemoryError:
         raise _out_of_memory("sample", args.count)
-    _write_table(args.output, _joint_header("rho", geometry.n), rows)
     return EXIT_OK
 
 
@@ -593,9 +561,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             inside += int(np.count_nonzero(flags))
         membership_failures = len(rows) - inside
 
-    results = identities.run_identity_suite(
-        d=geometry.d, l=geometry.l, n_max=args.n_max, tol=tol
-    )
+    try:
+        results = identities.run_identity_suite(geometry.d, geometry.l, args.n_max, tol)
+    except MemoryError:
+        raise CliError(EXIT_USAGE, f"check: not enough memory for the suite up to n={args.n_max}")
     width = max(len(r.name) for r in results)
     print(f"{'identity':<{width}}  {'n':>3}  {'residual':>12}  {'tolerance':>10}  status")
     for r in results:

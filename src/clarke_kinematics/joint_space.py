@@ -114,16 +114,23 @@ def sample(
     Clarke coordinates are sampled uniformly on the disk of radius
     d * phi_max and mapped through the inverse transform, so every row of
     the (count, n) result is a valid joint-space vector.  Deterministic for
-    a fixed seed.
+    a fixed seed.  Raises ValueError, with no numpy warning before it, when
+    d * phi_max is so large that a drawn row is not finite.
     """
     positive_finite(phi_max, "phi_max")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
-    radius = geometry.d * phi_max * np.sqrt(rng.random(count))
-    angle = 2.0 * np.pi * rng.random(count)
-    clarke = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-    return clarke @ geometry.clarke.right_inverse.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the overflow
+        radius = geometry.d * phi_max * np.sqrt(rng.random(count))
+        angle = 2.0 * np.pi * rng.random(count)
+        clarke = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+        rows = clarke @ geometry.clarke.right_inverse.T
+    if not np.isfinite(rows).all():
+        raise ValueError(
+            f"phi_max {phi_max!r} at d {geometry.d!r} gives non-finite joint displacements"
+        )
+    return rows
 
 
 __all__ = [

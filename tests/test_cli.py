@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from clarke_kinematics import RobotGeometry, cli, forward_transform
+from clarke_kinematics import RobotGeometry, cli, sample
 from clarke_kinematics.cli import main
 
 
@@ -319,8 +319,41 @@ class TestSample:
         assert main(["sample", "--geometry", geom, "--phi-max", "inf", "--count", "5",
                      "--seed", "1", "--output", str(tmp_path / "s.csv")]) == 2
 
+    def test_overflowing_draw_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        geom = write_geometry(tmp_path / "g.json", d=1000)
+        out = tmp_path / "s.csv"
+        argv = ["sample", "--geometry", geom, "--count", "5", "--seed", "1", "--output", str(out)]
+        assert main(argv + ["--phi-max", "1e306"]) == 2
+        message = "error: phi_max 1e+306 at d 1000 gives non-finite joint displacements\n"
+        assert capsys.readouterr().err == message
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "g.json"]
+        assert main(argv + ["--phi-max", "1e305"]) == 0
+        rows = sample(RobotGeometry(n=4, d=1000, l=0.1), 1e305, 5, seed=1)
+        want = tmp_path / "want.csv"
+        write_csv(want, [f"rho_{i}" for i in range(1, 5)], rows)
+        assert np.isfinite(rows).all() and out.read_text() == want.read_text()
+
+    def test_out_of_memory_while_writing_exits_2(self, tmp_path, capsys):
+        geom = write_geometry(tmp_path / "g.json")
+        out = tmp_path / "s.csv"
+        with mock.patch.object(cli, "_format_rows", side_effect=MemoryError):
+            code = main(["sample", "--geometry", geom, "--phi-max", "3", "--count", "5",
+                         "--seed", "1", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: sample: not enough memory for 5 rows\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "g.json"]
+
 
 class TestCheck:
+    def test_out_of_memory_in_the_suite_exits_2(self, tmp_path, capsys):
+        geom = write_geometry(tmp_path / "g.json")
+        with mock.patch.object(cli.identities, "run_identity_suite", side_effect=MemoryError):
+            code = main(["check", "--geometry", geom, "--n-max", "200"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: check: not enough memory for the suite up to n=200\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "g.json"]
+
     def test_suite_passes_through_n12(self, tmp_path, capsys):
         geom = write_geometry(tmp_path / "g.json")
         assert main(["check", "--geometry", geom, "--n-max", "12"]) == 0

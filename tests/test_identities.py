@@ -52,3 +52,11 @@ def test_scheme_identities_hold_within_four_ulp_on_the_basis(d):
     assert sorted(r.name for r in schemes) == SCHEME_CHECKS
     for r in schemes:
         assert r.residual <= 4 * 2**-52, (r.name, r.residual)
+
+
+def test_an_overflowing_pair_fails_its_identity_without_raising():
+    """At d = 5e-324 an Allen pair of the unit-scale basis (rho / d) is not finite."""
+    results = run_identity_suite(d=5e-324, l=0.1, n_max=4)
+    allen = [r for r in results if r.name.startswith("scheme_equivalence_allen")]
+    assert _failed(results) == sorted(r.name for r in allen)
+    assert [r.residual for r in allen] == [math.inf, math.inf]

@@ -160,6 +160,14 @@ class TestSample:
         sigma_mean = geometry4.d * math.pi / 2.0 / math.sqrt(rows.shape[0])
         assert np.max(np.abs(rows.mean(axis=0))) <= 3.0 * sigma_mean
 
+    def test_overflowing_draw_raises_without_a_warning(self):
+        geometry = RobotGeometry(n=4, d=1000.0, l=0.1)
+        message = "phi_max 1e+306 at d 1000.0 gives non-finite joint displacements"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample(geometry, 1e306, 5, seed=1)  # RuntimeWarning is an error in this suite
+        rows = sample(geometry, 1e305, 5, seed=1)
+        assert np.isfinite(rows).all() and np.abs(rows).max() > 5e307
+
     def test_rejects_bad_arguments(self, geometry4):
         with pytest.raises(ValueError):
             sample(geometry4, 0.0, 10, seed=1)
