@@ -1,8 +1,9 @@
 """Batch CLI: CSV trajectory transforms, conversions, sampling, FK, self-check.
 
 Exit codes: 0 success, 1 identity failure, 2 usage or schema error (a
-failed write to stdout included), 3 cell parse error, 4 domain error (a row
-whose result is not finite, or avoid-straight at a straight configuration).
+failed write to stdout, and any value the library refuses with ValueError,
+included), 3 cell parse error, 4 domain error (a row whose result is not
+finite, or avoid-straight at a straight configuration).
 The identity tolerance of `check` can be overridden with the environment
 variable CLARKE_KIN_TOL.  `check --n-max` is at most 256 (_N_MAX_LIMIT), because
 the suite builds an n x n projector for every joint count up to it.
@@ -27,13 +28,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import identities, joint_space, legacy
-from .core import (
-    GeometryError,
-    RobotGeometry,
-    forward_transform_rows,
-    inverse_transform_rows,
-    positive_finite,
-)
+from .core import RobotGeometry, forward_transform_rows, inverse_transform_rows, positive_finite
 from .kinematics import (
     RegularizationConfig,
     SingularityStrategy,
@@ -483,11 +478,8 @@ def _transform_plan(args: argparse.Namespace, geometry: RobotGeometry):
 def _convert_plan(args: argparse.Namespace, geometry: RobotGeometry):
     scheme = None
     if args.scheme is not None:
-        try:
-            scheme = legacy.LegacyScheme.from_name(args.scheme)
-            legacy._check_scheme(scheme, geometry)
-        except legacy.SchemeMismatchError as exc:
-            raise CliError(EXIT_USAGE, str(exc))
+        scheme = legacy.LegacyScheme.from_name(args.scheme)
+        legacy._check_scheme(scheme, geometry)
     if args.source in ("clarke", "legacy") and scheme is None:
         raise CliError(EXIT_USAGE, f"--scheme is required with --from {args.source}")
     lengths = _joint_header("l", geometry.n)
@@ -502,11 +494,8 @@ def _convert_plan(args: argparse.Namespace, geometry: RobotGeometry):
 
 
 def _fk_plan(args: argparse.Namespace, geometry: RobotGeometry):
-    try:
-        strategy = SingularityStrategy.from_name(args.strategy)
-        config = RegularizationConfig.default(geometry, epsilon=args.epsilon)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
+    strategy = SingularityStrategy.from_name(args.strategy)
+    config = RegularizationConfig.default(geometry, epsilon=args.epsilon)
     header = ["x", "y", "z"] + [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
     return _CLARKE, header, lambda rows: forward_kinematics_rows(geometry, rows, strategy, config)
 
@@ -516,8 +505,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     try:
         rows = joint_space.sample(geometry, args.phi_max, args.count, args.seed)
         _write_table(args.output, _joint_header("rho", geometry.n), rows)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
     except MemoryError:
         raise _out_of_memory("sample", args.count)
     return EXIT_OK
@@ -543,11 +530,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise CliError(
             EXIT_USAGE, f"--n-max must be between 3 and {_N_MAX_LIMIT}, got {args.n_max}"
         )
-    try:
-        positive_finite(args.membership_tol, "--membership-tol")
-        tol = _identity_tolerance(args.tol)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
+    positive_finite(args.membership_tol, "--membership-tol")
+    tol = _identity_tolerance(args.tol)
 
     # the membership file first, so that an error in it leaves stdout empty
     membership_failures = 0
@@ -687,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args)
         sys.stdout.flush()  # here, not at interpreter exit, where a failure would escape
         return code
-    except (CliError, GeometryError) as exc:
+    except (CliError, ValueError) as exc:  # a value the library refuses is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else EXIT_USAGE
     except KeyboardInterrupt:  # an output being written has been removed by then

@@ -94,18 +94,23 @@ def identity_checks(
 def _scheme_equivalence_check(
     scheme: legacy.LegacyScheme, geometry: RobotGeometry, tol: float
 ) -> IdentityCheck:
-    """Joint-value formulas vs. Clarke route on the basis v1, v2, relative to the pair's scale.
+    """Joint-value formulas vs. Clarke route on s * v1, s * v2, relative to the pair's scale.
 
     Both routes are linear in rho, so agreement on v1 and v2 is agreement on
     every joint-space vector: the paper's claim that the scheme is a linear
-    image of the Clarke coordinates.  The routes are the scalar calls, so
-    a fault in the scalar forward_transform shows here.  A route whose pair
-    overflows fails the identity with an infinite residual.
+    image of the Clarke coordinates.  The power of two s is 1 for d < 16 and
+    grows with d, so that an Allen pair (rho / d) stays normal up to the
+    largest d; it leaves the relative residual as it is wherever nothing
+    leaves the normal range.  The routes are the scalar calls, so a fault in
+    the scalar forward_transform shows here.  A route whose pair overflows
+    fails the identity with an infinite residual.
     """
     name = f"scheme_equivalence_{scheme.value}"
+    s = 2.0 ** max(0, math.frexp(geometry.d)[1] - 4)
     worst = 0.0
     scale = 0.0
-    for rho in joint_space.basis(geometry):
+    for v in joint_space.basis(geometry):
+        rho = s * v
         try:
             direct = legacy.legacy_from_displacements(scheme, geometry, rho)
             via = legacy.legacy_from_clarke(scheme, geometry, forward_transform(geometry, rho))

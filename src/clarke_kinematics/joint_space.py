@@ -9,6 +9,7 @@ basis extraction, and seeded sampling all operate on that characterization.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -114,12 +115,19 @@ def sample(
     Clarke coordinates are sampled uniformly on the disk of radius
     d * phi_max and mapped through the inverse transform, so every row of
     the (count, n) result is a valid joint-space vector.  Deterministic for
-    a fixed seed.  Raises ValueError, with no numpy warning before it, when
-    d * phi_max is so large that a drawn row is not finite.
+    a fixed seed.  Raises ValueError naming the argument when count is not
+    between 1 and the largest (count, n) array numpy can size or seed is
+    negative, and, with no numpy warning before it, when d * phi_max is so
+    large that a drawn row is not finite.
     """
     positive_finite(phi_max, "phi_max")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    limit = sys.maxsize // (8 * geometry.n)  # the most float64 rows of n numpy can size
+    if count > limit:
+        raise ValueError(f"count must be at most {limit} for n={geometry.n}, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the overflow
         radius = geometry.d * phi_max * np.sqrt(rng.random(count))

@@ -114,8 +114,8 @@ class Pose:
     rotation: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float)
-        rot = np.asarray(self.rotation, dtype=float)
+        pos = np.array(self.position, dtype=float)  # a copy: the caller's arrays stay theirs
+        rot = np.array(self.rotation, dtype=float)
         if pos.shape != (3,) or rot.shape != (3, 3):
             raise ValueError("pose needs a 3-vector position and 3x3 rotation")
         pos.flags.writeable = False

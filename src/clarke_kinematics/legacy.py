@@ -185,8 +185,16 @@ def _pair_from_displacements(scheme: LegacyScheme, rho, d: float):
     if scheme is LegacyScheme.DELLA_SANTINA4:
         return (rho[0] - rho[2]) / 2.0, (rho[1] - rho[3]) / 2.0
     if scheme is LegacyScheme.ALLEN3:
-        u = (rho[2] - rho[1]) / (math.sqrt(3.0) * d)
-        v = (2.0 * rho[0] - rho[1] - rho[2]) / (3.0 * d)
+        # d = m * 2**-k with 1 <= m < 2: sqrt(3) * d and 3 * d overflow above
+        # 6e307, sqrt(3) * m and 3 * m never do, and each quotient is smaller
+        # than its numerator.  2**k, applied last and in two halves (2.0**k
+        # alone overflows for a subnormal d), keeps every bit of the division
+        # by sqrt(3) * d and 3 * d wherever the pair is normal.
+        m, e = math.frexp(d)
+        m, k = 2.0 * m, 1 - e
+        low, high = 2.0 ** (k // 2), 2.0 ** (k - k // 2)
+        u = (rho[2] - rho[1]) / (math.sqrt(3.0) * m) * low * high
+        v = (2.0 * rho[0] - rho[1] - rho[2]) / (3.0 * m) * low * high
         return u, v
     return (rho[3] - rho[1]) / d, (rho[0] - rho[2]) / d
 

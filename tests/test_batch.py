@@ -33,6 +33,7 @@ from clarke_kinematics import (
     legacy_from_clarke_rows,
     legacy_from_lengths,
     legacy_from_lengths_rows,
+    sample,
 )
 from clarke_kinematics import kinematics
 from clarke_kinematics.kinematics import _SERIES_CUTOFF
@@ -182,6 +183,20 @@ def test_legacy_rows(scheme, data):
                                   [clarke_from_legacy(scheme, geometry, row) for row in pairs])
     np.testing.assert_array_equal(legacy_from_lengths_rows(scheme, geometry, lengths),
                                   [legacy_from_lengths(scheme, geometry, row)[1:] for row in lengths])
+
+
+@pytest.mark.parametrize("d", [7e307, 1e308])
+def test_allen3_length_rows_at_large_d(d):
+    """Where 3 * d overflows: bitwise equal to the scalar form, and the Clarke route's pairs."""
+    geometry = RobotGeometry(n=3, d=d, l=0.1)
+    lengths = geometry.l - sample(geometry, 0.4, 200, seed=5)
+    rows = legacy_from_lengths_rows(LegacyScheme.ALLEN3, geometry, lengths)
+    np.testing.assert_array_equal(
+        rows, [legacy_from_lengths(LegacyScheme.ALLEN3, geometry, row)[1:] for row in lengths])
+    clarke = clarke_from_lengths_rows(geometry, lengths)
+    want = legacy_from_clarke_rows(LegacyScheme.ALLEN3, geometry, clarke)
+    assert (np.abs(want).max(axis=0) > 0.3).all()
+    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
 
 
 @SETTINGS

@@ -310,7 +310,7 @@ class TestSample:
         assert main(["check", "--geometry", geom, "--n-max", "4",
                      "--membership", str(out)]) == 0
 
-    def test_invalid_flags_exit_2(self, tmp_path):
+    def test_invalid_flags_exit_2(self, tmp_path, capsys):
         geom = write_geometry(tmp_path / "g.json")
         assert main(["sample", "--geometry", geom, "--phi-max", "-1", "--count", "5",
                      "--seed", "1", "--output", str(tmp_path / "s.csv")]) == 2
@@ -318,6 +318,18 @@ class TestSample:
                      "--seed", "1", "--output", str(tmp_path / "s.csv")]) == 2
         assert main(["sample", "--geometry", geom, "--phi-max", "inf", "--count", "5",
                      "--seed", "1", "--output", str(tmp_path / "s.csv")]) == 2
+        capsys.readouterr()
+        # refusals of the library's own, which name the flag's value
+        count = "1000000000000000000000000000000"
+        for flags, message in (
+            (["--count", "5", "--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--count", count, "--seed", "1"],
+             f"count must be at most {sys.maxsize // 32} for n=4, got {count}"),
+        ):
+            assert main(["sample", "--geometry", geom, "--phi-max", "1", *flags,
+                         "--output", str(tmp_path / "s.csv")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "g.json"]
 
     def test_overflowing_draw_exits_2_and_writes_nothing(self, tmp_path, capsys):
         geom = write_geometry(tmp_path / "g.json", d=1000)

@@ -130,6 +130,12 @@ def _run(case):
            "--seed", "1", "--output", "{output}"], None, "\n"))
 @example(({"n": 4, "d": 0.01, "l": 0.1},
           ["check", "--geometry", "{geometry}", "--n-max", "256"], None, "\n"))
+@example(({"n": 4, "d": 0.01, "l": 0.1},  # a path open() refuses with ValueError
+          ["fk", "--geometry", "{geometry}", "--input", "{input}\x00", "--output", "{output}"],
+          None, "rho_re,rho_im\n0.01,0\n"))
+@example(({"n": 4, "d": 0.01, "l": 0.1},
+          ["transform", "--geometry", "{geometry}", "--direction", "inverse",
+           "--input", "{input}", "--output", "{output}\x00"], None, "rho_re,rho_im\n0.01,0\n"))
 def test_main_never_raises_over_every_command(case):
     code, written, leftovers, stderr = _run(case)
     assert code in range(5), stderr

@@ -45,9 +45,14 @@ def test_a_wrong_published_pair_fails_only_its_scheme(monkeypatch, scheme):
     assert _failed(results) == [f"scheme_equivalence_{scheme.value}"]
 
 
-@pytest.mark.parametrize("d", [1e-6, 1e-4, 0.01, 1.0, 1e3])
+@pytest.mark.parametrize(
+    "d", [1e-300, 1e-6, 1e-4, 0.01, 1.0, 1e3, 1e300, 7e307, 1e308, 1.7976931348623157e308]
+)
 def test_scheme_identities_hold_within_four_ulp_on_the_basis(d):
-    """The two routes of each scheme differ by at most 4 * 2**-52 of the pair's scale."""
+    """The two routes of each scheme differ by at most 4 * 2**-52 of the pair's scale.
+
+    Up to the largest d, where an Allen pair of the unit-scale basis would be subnormal.
+    """
     schemes = [r for r in run_identity_suite(d=d, l=0.1, n_max=4) if r.name in SCHEME_CHECKS]
     assert sorted(r.name for r in schemes) == SCHEME_CHECKS
     for r in schemes:

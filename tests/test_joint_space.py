@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -176,3 +177,10 @@ class TestSample:
                 sample(geometry4, phi_max, 10, seed=1)
         with pytest.raises(ValueError):
             sample(geometry4, math.pi, 0, seed=1)
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            sample(geometry4, math.pi, 10, seed=-1)
+        limit = sys.maxsize // 32  # the most rows of four float64 values numpy can size
+        for count in (limit + 1, 10**30):
+            message = f"^count must be at most {limit} for n=4, got {count}$"
+            with pytest.raises(ValueError, match=message):
+                sample(geometry4, math.pi, count, seed=1)

@@ -471,6 +471,15 @@ class TestPose:
         np.testing.assert_array_equal(pose.position, np.zeros(3))
         np.testing.assert_array_equal(pose.rotation, np.eye(3))
 
+    def test_copies_the_callers_arrays(self):
+        p, r = np.zeros(3), np.eye(3)
+        pose = Pose(position=p, rotation=r)
+        assert pose.position is not p and pose.rotation is not r
+        assert p.flags.writeable and r.flags.writeable
+        p[0], r[0, 0] = 1.0, 2.0
+        assert pose.position[0] == 0.0 and pose.rotation[0, 0] == 1.0
+        assert not (pose.position.flags.writeable or pose.rotation.flags.writeable)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Pose(position=np.zeros(2), rotation=np.eye(3))

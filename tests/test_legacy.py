@@ -197,16 +197,21 @@ class TestFromDisplacements:
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_agrees_with_clarke_route(self, scheme):
-        """Joint-value formulas and the Clarke route give the same pair."""
-        geom = geometry_for(scheme)
-        rhos = sample(geom, phi_max=math.pi, count=1000, seed=2024)
-        worst, scale = 0.0, 0.0
-        for rho in rhos:
-            direct = legacy_from_displacements(scheme, geom, rho)
-            via = legacy_from_clarke(scheme, geom, forward_transform(geom, rho))
-            worst = max(worst, abs(direct.p1 - via.p1), abs(direct.p2 - via.p2))
-            scale = max(scale, abs(via.p1), abs(via.p2))
-        assert worst <= 1e-12 * scale
+        """Joint-value formulas and the Clarke route give the same pair.
+
+        Up to d = 1e308 too, where sqrt(3) * d and 3 * d overflow; phi_max 0.4
+        keeps the rows, and 2 * rho_1 - rho_2 - rho_3, finite there.
+        """
+        for d, phi_max in ((0.01, math.pi), (7e307, 0.4), (1e308, 0.4)):
+            geom = RobotGeometry(n=scheme.n, d=d, l=0.1)
+            rhos = sample(geom, phi_max=phi_max, count=1000, seed=2024)
+            worst, scale = 0.0, 0.0
+            for rho in rhos:
+                direct = legacy_from_displacements(scheme, geom, rho)
+                via = legacy_from_clarke(scheme, geom, forward_transform(geom, rho))
+                worst = max(worst, abs(direct.p1 - via.p1), abs(direct.p2 - via.p2))
+                scale = max(scale, abs(via.p1), abs(via.p2))
+            assert worst <= 1e-12 * scale, d
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_offset_invariance_via_lengths(self, scheme):
