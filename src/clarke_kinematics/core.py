@@ -13,7 +13,9 @@ time-invariant, so they apply unchanged to displacement rates.
 
 All matrices are built once per geometry and cached; transforms are plain
 matrix-vector products.  The *_rows forms map a whole (N, k) array of rows
-at once and are bitwise equal to the scalar forms applied row by row.
+at once and are bitwise equal to the scalar forms applied row by row: the
+scalar forms take ndarray.dot and the row forms a stacked matmul, and both
+run the same BLAS matrix-vector product (dgemv) on each vector.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def forward_transform(geometry: RobotGeometry, rho) -> ClarkeCoords:
     arr = as_vector(rho, geometry.n, "joint displacements")
     values = arr.tolist()
     if math.hypot(*values) < MATVEC_SAFE:  # finite, and no sum in the product overflows
-        re, im = (geometry.clarke.forward @ arr).tolist()
+        re, im = geometry.clarke.forward.dot(arr).tolist()
     else:
         forward = geometry.clarke.forward
         re, im = _large_product(forward, arr, values, "joint displacements").tolist()
@@ -240,6 +242,7 @@ def forward_transform(geometry: RobotGeometry, rho) -> ClarkeCoords:
             raise ValueError(
                 f"joint displacements {values} give non-finite Clarke coordinates ({re}, {im})"
             )
+    # perfbench's tests negate im on this exact line to see its oracle refuse the result
     return ClarkeCoords(float(re), float(im))
 
 
@@ -252,7 +255,7 @@ def inverse_transform(geometry: RobotGeometry, clarke) -> np.ndarray:
     """
     re, im = as_pair(clarke, "Clarke coordinates")
     if abs(re) + abs(im) < MATVEC_SAFE:  # finite, and no sum in the product overflows
-        return geometry.clarke.right_inverse @ np.array((re, im))
+        return geometry.clarke.right_inverse.dot(np.array((re, im)))
     rho = _large_product(
         geometry.clarke.right_inverse, np.array((re, im)), (re, im), "Clarke coordinates"
     )
@@ -264,7 +267,7 @@ def inverse_transform(geometry: RobotGeometry, clarke) -> np.ndarray:
 
 
 def _large_product(matrix: np.ndarray, vector: np.ndarray, values, what: str) -> np.ndarray:
-    """matrix @ vector for a vector that reaches MATVEC_SAFE or is not finite.
+    """matrix.dot(vector) for a vector that reaches MATVEC_SAFE or is not finite.
 
     values are the vector's entries as Python floats, and what names them.
     Raises ValueError for a vector that is not finite; otherwise the product
@@ -274,14 +277,14 @@ def _large_product(matrix: np.ndarray, vector: np.ndarray, values, what: str) ->
     if not all_finite(values):  # before the product, which would warn of inf * 0
         raise ValueError(f"{what} must be finite, got {values}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return matrix @ vector
+        return matrix.dot(vector)
 
 
 def forward_transform_rows(geometry: RobotGeometry, rho_rows) -> np.ndarray:
     """Clarke rows (N, 2) of displacement rows (N, n).
 
     The array form of forward_transform, bitwise equal to the scalar form on
-    every row: a stacked matrix-vector product, which rounds as M_P @ rho
+    every row: a stacked matrix-vector product, which rounds as M_P.dot(rho)
     does (rows @ M_P.T would sum in another order).
     """
     arr = as_rows(rho_rows, geometry.n)

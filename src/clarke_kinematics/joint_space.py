@@ -9,6 +9,7 @@ basis extraction, and seeded sampling all operate on that characterization.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import NamedTuple
 
@@ -18,7 +19,6 @@ from .core import (
     MATVEC_SAFE,
     RobotGeometry,
     _large_product,
-    all_finite,
     as_rows,
     as_vector,
     positive_finite,
@@ -50,17 +50,16 @@ def contains(geometry: RobotGeometry, rho, tol: float = DEFAULT_MEMBERSHIP_TOL) 
     arr = as_vector(rho, geometry.n, "joint displacements")
     positive_finite(tol, "tolerance")
     values = arr.tolist()
-    if not all_finite(values):  # contains_rows finds a NaN residual there
-        return False
-    peak = max(map(abs, values))
-    if peak >= MATVEC_SAFE:  # the residual may overflow, which contains_rows allows for
+    if not math.hypot(*values) < MATVEC_SAFE:  # not finite, or the residual may overflow
         return bool(contains_rows(geometry, arr[None], float(tol))[0])
-    # float(tol): a float64 product, as in contains_rows, whatever tol's type
-    bound = float(tol) * max(1.0, peak)
-    residual = _residual(geometry, arr)
-    # every |residual| within the bound, so that a NaN residual (an overflow)
-    # gives False, as in contains_rows
-    return all(map(bound.__ge__, map(abs, residual.tolist())))
+    # rho - P rho entry by entry, rounded as in contains_rows; it is finite here
+    projected = geometry.projection.dot(arr).tolist()
+    worst = max(map(abs, map(operator.sub, values, projected)))
+    # float(tol): a float64 product, as in contains_rows, whatever tol's type.
+    # tol * max(1, peak) is the larger of tol and tol * peak, so the peak is
+    # needed only when worst exceeds tol.
+    tol = float(tol)
+    return worst <= tol or worst <= tol * max(map(abs, values))
 
 
 def contains_rows(
@@ -68,25 +67,17 @@ def contains_rows(
 ) -> np.ndarray:
     """Joint-space membership of each displacement row of an (N, n) array.
 
-    The array form of contains, equal to the scalar form on every row: both
-    take the residual from _residual, and the maxima and comparisons are
+    The array form of contains, equal to the scalar form on every row: the
+    projection is a stacked matrix-vector product, which rounds as the scalar
+    form's P.dot(rho) does, and the subtraction, maxima and comparisons are
     exact.  A row with NaN or +-inf has a NaN residual, so it is not a member.
     """
     arr = as_rows(rho_rows, geometry.n)
     positive_finite(tol, "tolerance")
     with np.errstate(invalid="ignore", over="ignore"):  # an overflow gives False or an inf bound
-        residual = _residual(geometry, arr)
+        residual = arr - (projector(geometry) @ arr[:, :, None])[:, :, 0]
         bound = tol * np.abs(arr).max(axis=-1, initial=1.0)
     return np.abs(residual).max(axis=-1) <= bound
-
-
-def _residual(geometry: RobotGeometry, arr: np.ndarray) -> np.ndarray:
-    """rho - P rho for each displacement vector along arr's last axis.
-
-    The projection is a (stacked) matrix-vector product, which rounds the
-    same for one vector and for a stack of rows.
-    """
-    return arr - (projector(geometry) @ arr[..., None])[..., 0]
 
 
 def project(geometry: RobotGeometry, rho) -> np.ndarray:
@@ -100,7 +91,7 @@ def project(geometry: RobotGeometry, rho) -> np.ndarray:
     arr = as_vector(rho, geometry.n, "joint displacements")
     values = arr.tolist()
     if math.hypot(*values) < MATVEC_SAFE:  # finite, and no sum in the product overflows
-        return projector(geometry) @ arr
+        return projector(geometry).dot(arr)
     out = _large_product(projector(geometry), arr, values, "joint displacements")
     if not np.isfinite(out).all():
         raise ValueError(f"joint displacements {values} give a non-finite projection")

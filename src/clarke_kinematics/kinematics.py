@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -41,6 +42,8 @@ from .core import (
 _TAU = 2.0 * math.pi
 # below this angle the truncated series are more accurate than the closed forms
 _SERIES_CUTOFF = 1e-4
+# the 12 pose terms as the bytes of 12 float64 values, bit for bit
+_pack_terms = struct.Struct("=12d").pack
 
 
 class StraightConfigurationError(ValueError):
@@ -76,6 +79,16 @@ class SingularityStrategy(enum.Enum):
         except ValueError:
             valid = ", ".join(s.value for s in cls)
             raise ValueError(f"unknown strategy {name!r}; expected one of {valid}")
+
+
+# The members the kernels test for, as module globals: on CPython 3.11 each
+# SingularityStrategy.X lookup passes through the enum's metaclass and costs
+# about 0.1 µs, as much as the arithmetic of a scalar strategy test.
+_AVOID_STRAIGHT = SingularityStrategy.AVOID_STRAIGHT
+_ADD_EPSILON = SingularityStrategy.ADD_EPSILON
+_SATURATE_EPSILON = SingularityStrategy.SATURATE_EPSILON
+_LINEARIZE_NEAR_ZERO = SingularityStrategy.LINEARIZE_NEAR_ZERO
+_ADAPTIVE_EPSILON = SingularityStrategy.ADAPTIVE_EPSILON
 
 
 @dataclass(frozen=True)
@@ -127,13 +140,14 @@ class Pose:
     def _of_terms(cls, terms) -> "Pose":
         """The pose of the 12 floats x, y, z, r11, ..., r33, without validating again.
 
-        position and rotation are read-only views of one array of the terms.
+        position and rotation are the rows of one (4, 3) array over the packed
+        terms, read-only because their buffer, a bytes object, is.
         """
-        flat = np.array(terms)
-        flat.flags.writeable = False
+        rows = np.ndarray((4, 3), float, _pack_terms(*terms))
         pose = object.__new__(cls)
-        object.__setattr__(pose, "position", flat[:3])
-        object.__setattr__(pose, "rotation", flat[3:].reshape(3, 3))
+        fields = pose.__dict__  # the frozen dataclass's own setattr refuses
+        fields["position"] = rows[0]
+        fields["rotation"] = rows[1:]
         return pose
 
     def compose(self, other: "Pose") -> "Pose":
@@ -297,11 +311,11 @@ def _effective_angle(geometry, re, im, phi, strategy, config, ops):
     (saturate-epsilon) and the regularized magnitude over d
     (adaptive-epsilon), with rho^T rho = (n/2) |clarke|^2.
     """
-    if strategy is SingularityStrategy.ADD_EPSILON:
+    if strategy is _ADD_EPSILON:
         return phi + config.epsilon
-    if strategy is SingularityStrategy.SATURATE_EPSILON:
+    if strategy is _SATURATE_EPSILON:
         return ops.maximum(phi, config.epsilon)
-    if strategy is SingularityStrategy.ADAPTIVE_EPSILON:
+    if strategy is _ADAPTIVE_EPSILON:
         ss = 0.5 * geometry.n * (re * re + im * im)
         return _regularized_norm(ss, geometry.n, config, ops) / geometry.d
     return phi
@@ -321,7 +335,7 @@ def _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, ops):
     g1 = ops.where(series, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, ops.sin(phi_eff) / safe)
     g2 = ops.where(series, 0.5 - x2 / 24.0 + x2 * x2 / 720.0, 2.0 * s * s / (safe * safe))
     cos_phi = ops.cos(phi_eff)
-    if strategy is SingularityStrategy.LINEARIZE_NEAR_ZERO:
+    if strategy is _LINEARIZE_NEAR_ZERO:
         straight = phi < config.epsilon
         g1, g2 = ops.where(straight, 1.0, g1), ops.where(straight, 0.5, g2)
         cos_phi = ops.where(straight, 1.0, cos_phi)
@@ -368,7 +382,7 @@ def forward_kinematics(
     v = im / geometry.d
     phi = math.hypot(u, v)
 
-    if strategy is SingularityStrategy.AVOID_STRAIGHT and phi < config.epsilon:
+    if strategy is _AVOID_STRAIGHT and phi < config.epsilon:
         raise StraightConfigurationError.below(phi, config.epsilon)
 
     phi_eff = _effective_angle(geometry, re, im, phi, strategy, config, _FLOAT_OPS)
@@ -406,7 +420,7 @@ def forward_kinematics_rows(
     phi = np.fromiter(map(math.hypot, u.tolist(), v.tolist()), float, len(arr))
     straight = phi < config.epsilon
 
-    if strategy is SingularityStrategy.AVOID_STRAIGHT and straight.any():
+    if strategy is _AVOID_STRAIGHT and straight.any():
         row = int(straight.argmax())
         exc = StraightConfigurationError.below(float(phi[row]), config.epsilon)
         exc.row = row

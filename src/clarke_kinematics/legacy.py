@@ -129,7 +129,7 @@ def legacy_from_clarke(
     if not (math.isfinite(p1) and math.isfinite(p2)):
         raise ValueError(f"Clarke coordinates ({re}, {im}) give non-finite "
                          f"{scheme.value} parameters ({p1}, {p2})")
-    return LegacyPair(scheme, p1, p2)
+    return tuple.__new__(LegacyPair, (scheme, p1, p2))  # LegacyPair(...) without its Python frame
 
 
 def clarke_from_legacy(
@@ -169,11 +169,22 @@ def legacy_from_displacements(
     """
     _check_scheme(scheme, geometry)
     values = as_vector(rho, geometry.n, "joint displacements").tolist()
-    p1, p2 = _pair_from_displacements(scheme, values, geometry.d)
+    if all_finite(values) and max(map(abs, values)) >= _FORMULA_SAFE:
+        p1, p2 = _pair_from_displacements(scheme, [0.25 * r for r in values], geometry.d)
+        p1, p2 = 4.0 * p1, 4.0 * p2
+    else:
+        p1, p2 = _pair_from_displacements(scheme, values, geometry.d)
     if not (math.isfinite(p1) and math.isfinite(p2)):  # every entry of rho is in the pair
         raise ValueError(f"joint displacements {values} give non-finite "
                          f"{scheme.value} parameters ({p1}, {p2})")
     return LegacyPair(scheme, p1, p2)
+
+
+# Below this max|rho| no sum in the published formulas overflows: the largest,
+# 2*rho[0] - rho[1] - rho[2], stays within 4 max|rho|.  A finite row that
+# reaches it is evaluated at a quarter of its size and the pair scaled back,
+# which changes no bit while every value stays normal.
+_FORMULA_SAFE = 2.0**1021
 
 
 def _pair_from_displacements(scheme: LegacyScheme, rho, d: float):
@@ -237,7 +248,14 @@ def legacy_from_lengths_rows(
     """(p1, p2) rows of length rows; bitwise equal to the scalar form legacy_from_lengths."""
     _check_scheme(scheme, geometry)
     rho = geometry.l - as_rows(length_rows, geometry.n)
-    return np.column_stack(_pair_from_displacements(scheme, rho.T, geometry.d))
+    # the finite rows that reach _FORMULA_SAFE, as in legacy_from_displacements
+    # (the peak of a row with NaN is NaN)
+    peak = np.abs(rho).max(axis=1)
+    large = (peak >= _FORMULA_SAFE) & (peak < math.inf)
+    rho[large] *= 0.25
+    pairs = np.column_stack(_pair_from_displacements(scheme, rho.T, geometry.d))
+    pairs[large] *= 4.0
+    return pairs
 
 
 def clarke_from_lengths_rows(geometry: RobotGeometry, length_rows) -> np.ndarray:

@@ -8,8 +8,12 @@ the map's gain: max|rho| for the forward transform, max(|rho_re|, |rho_im|)
 for the inverse, and k/d (or d/k) times the largest input for the Allen
 pairs, whose gain that is.  The arc maps are held to relative bounds:
 arc_from_clarke's phi and kappa, and regularized_magnitude, in units of
-2**-52 times the exact value, and theta in units of 2**-52 * pi.  Each map
-has one stated bound (README.md).
+2**-52 times the exact value, and theta in units of 2**-52 * pi.  Forward
+kinematics is held, under each strategy, to the exact pose at that
+strategy's own bending angle (phi, phi + epsilon, max(phi, epsilon), the
+regularized one, or the straight limit): the position in units of
+2**-52 * l and the rotation in units of 2**-52.  Each map has one stated
+bound (README.md).
 """
 
 import mpmath
@@ -20,8 +24,11 @@ from clarke_kinematics import (
     LegacyScheme,
     RegularizationConfig,
     RobotGeometry,
+    SingularityStrategy,
+    StraightConfigurationError,
     arc_from_clarke,
     clarke_from_legacy,
+    forward_kinematics,
     forward_transform,
     inverse_transform,
     legacy_from_clarke,
@@ -32,6 +39,10 @@ ULP = mpmath.mpf(2) ** -52
 BOUNDS = {"forward_transform": 8, "inverse_transform": 8,
           "legacy_from_clarke": 8, "clarke_from_legacy": 8,
           "phi": 4, "theta": 4, "kappa": 4, "regularized_magnitude": 4}
+# (position, rotation) of forward_kinematics under each strategy
+FK_BOUNDS = {"avoid-straight": (4, 8), "add-epsilon": (4, 12), "saturate-epsilon": (4, 8),
+             "linearize-near-zero": (4, 8), "analytic-branch": (4, 8),
+             "adaptive-epsilon": (4, 12)}
 JOINT_COUNTS = [3, 4, 5, 7, 12, 16, 64]
 DRAWS = 200
 
@@ -161,3 +172,60 @@ def test_regularized_magnitude_is_within_its_bound(n):
                 got = regularized_magnitude(geometry, rho, config)
                 worst = max(worst, _relative(got, exact))
     assert worst <= BOUNDS["regularized_magnitude"], (n, worst)
+
+
+def _exact_pose(geometry, re, im, strategy, config):
+    """The 12 pose entries at 50 digits, at the strategy's own bending angle."""
+    d, l, eps = (mpmath.mpf(x) for x in (geometry.d, geometry.l, config.epsilon))
+    u, v = mpmath.mpf(re) / d, mpmath.mpf(im) / d
+    phi = mpmath.hypot(u, v)
+    if strategy is SingularityStrategy.ADD_EPSILON:
+        phi_eff = phi + eps
+    elif strategy is SingularityStrategy.SATURATE_EPSILON:
+        phi_eff = max(phi, eps)
+    elif strategy is SingularityStrategy.ADAPTIVE_EPSILON:
+        ss = geometry.n * (mpmath.mpf(re) ** 2 + mpmath.mpf(im) ** 2) / 2
+        t = config.a + mpmath.mpf(config.b) * ss
+        phi_eff = (mpmath.sqrt(2 * ss / geometry.n) + eps * _exact_decay(config, t)) / d
+    else:
+        phi_eff = phi
+    if phi_eff == 0 or (strategy is SingularityStrategy.LINEARIZE_NEAR_ZERO and phi < eps):
+        g1, g2, cos_phi = mpmath.mpf(1), mpmath.mpf(1) / 2, mpmath.mpf(1)
+    else:
+        g1 = mpmath.sin(phi_eff) / phi_eff
+        g2 = 2 * mpmath.sin(phi_eff / 2) ** 2 / phi_eff**2
+        cos_phi = mpmath.cos(phi_eff)
+    position = [l * u * g2, l * v * g2, l * g1]
+    rotation = [1 - u * u * g2, -u * v * g2, u * g1,
+                -u * v * g2, 1 - v * v * g2, v * g1,
+                -u * g1, -v * g1, cos_phi]
+    return position, rotation
+
+
+@pytest.mark.parametrize("n", ARC_JOINT_COUNTS)
+def test_forward_kinematics_is_within_its_bounds(n):
+    """Half the bends log-uniform over PHI_RANGE, half uniform on it, so past pi too."""
+    rng = np.random.default_rng(300 + n)
+    worst = {s: [0.0, 0.0] for s in SingularityStrategy}
+    with mpmath.workdps(50):
+        for i in range(DRAWS):
+            d, l = (float(10.0 ** rng.uniform(-4, 1)) for _ in range(2))
+            geometry = RobotGeometry(n=n, d=d, l=l)
+            config = RegularizationConfig.default(geometry)
+            if i % 2:
+                re, im = _clarke(rng, d)
+            else:
+                phi, theta = rng.uniform(*PHI_RANGE), rng.uniform(-np.pi, np.pi)
+                re, im = d * phi * np.cos(theta), d * phi * np.sin(theta)
+            for strategy in SingularityStrategy:
+                try:
+                    pose = forward_kinematics(geometry, (re, im), strategy, config)
+                except StraightConfigurationError:  # avoid-straight below epsilon
+                    continue
+                position, rotation = _exact_pose(geometry, re, im, strategy, config)
+                errors = worst[strategy]
+                errors[0] = max(errors[0], _error(pose.position.tolist(), position, l))
+                errors[1] = max(errors[1], _error(pose.rotation.ravel().tolist(), rotation, 1))
+    for strategy, errors in worst.items():
+        bounds = FK_BOUNDS[strategy.value]
+        assert errors[0] <= bounds[0] and errors[1] <= bounds[1], (strategy.value, n, errors)

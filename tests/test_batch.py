@@ -199,6 +199,22 @@ def test_allen3_length_rows_at_large_d(d):
     np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("scheme", list(LegacyScheme))
+def test_length_rows_past_2_to_1021(scheme):
+    """Rows the formulas take a quarter of (max|rho| >= 2**1021) beside rows
+    they take whole, in one table: bitwise equal to the scalar form."""
+    geometry = RobotGeometry(n=scheme.n, d=1.0, l=0.1)
+    rng = np.random.default_rng(1021)
+    radius = np.concatenate([rng.uniform(2.0**1021, 8.9e307, 20), rng.uniform(0.0, 2.0**1021, 20),
+                             10.0 ** rng.uniform(-3, 300, 20)])
+    angle = rng.uniform(-math.pi, math.pi, len(radius))
+    clarke = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    lengths = geometry.l - inverse_transform_rows(geometry, clarke)
+    rng.shuffle(lengths)
+    np.testing.assert_array_equal(legacy_from_lengths_rows(scheme, geometry, lengths),
+                                  [legacy_from_lengths(scheme, geometry, row)[1:] for row in lengths])
+
+
 @SETTINGS
 @given(geometries, st.data())
 def test_clarke_from_lengths_rows(geometry, data):

@@ -8,7 +8,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from clarke_kinematics import RobotGeometry, cli, sample
+from clarke_kinematics import (
+    LegacyScheme,
+    RobotGeometry,
+    clarke_from_lengths,
+    cli,
+    inverse_transform_rows,
+    legacy_from_clarke,
+    sample,
+)
 from clarke_kinematics.cli import main
 
 
@@ -193,6 +201,23 @@ class TestConvert:
         header, rows = read_csv(out)
         assert header == ["delta_x", "delta_y"]
         np.testing.assert_allclose(rows, [[0.01, 0.0]], atol=1e-15)
+
+    @pytest.mark.parametrize("scheme", [LegacyScheme.DIAN3, LegacyScheme.ALLEN3])
+    def test_lengths_past_2_to_1021_give_the_clarke_routes_pair(self, tmp_path, scheme):
+        """Finite rows whose 2 * rho_1 - rho_2 - rho_3 overflows convert: their pairs are finite."""
+        geometry = RobotGeometry(n=3, d=1.0, l=0.1)
+        clarke = [(1e308, 0.0), (0.0, -1e308), (-1.2e308, 1.2e308), (3e-3, -4e-3)]
+        lengths = geometry.l - inverse_transform_rows(geometry, clarke)
+        geom = write_geometry(tmp_path / "g.json", n=3, d=1.0)
+        inp = write_csv(tmp_path / "in.csv", ["l_1", "l_2", "l_3"], lengths)
+        out = tmp_path / "out.csv"
+        assert main(["convert", "--geometry", geom, "--scheme", scheme.value,
+                     "--from", "lengths", "--input", inp, "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        via = np.array([legacy_from_clarke(scheme, geometry, clarke_from_lengths(geometry, row))[1:]
+                        for row in lengths])
+        scale = np.abs(via).max(axis=1, keepdims=True)
+        assert (np.abs(rows - via) <= 1e-12 * scale).all()
 
     def test_scheme_geometry_mismatch_exits_2(self, tmp_path):
         geom = write_geometry(tmp_path / "g.json", n=4)

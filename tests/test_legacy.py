@@ -15,9 +15,11 @@ from clarke_kinematics import (
     clarke_from_lengths,
     displacements_to_lengths,
     forward_transform,
+    inverse_transform,
     legacy_from_clarke,
     legacy_from_displacements,
     legacy_from_lengths,
+    legacy_from_lengths_rows,
     lengths_to_displacements,
     sample,
 )
@@ -224,6 +226,32 @@ class TestFromDisplacements:
             scale = max(1.0, abs(base.p1), abs(base.p2))
             assert abs(shifted.p1 - base.p1) <= 1e-12 * scale
             assert abs(shifted.p2 - base.p2) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_rows_past_2_to_1021_agree_with_clarke_route(self, scheme):
+        """Finite joint-space rows up to 1.7e308 whose pair is finite.
+
+        2 * rho_1 - rho_2 - rho_3 (and rho_1 - rho_3) overflow there; the
+        formulas take a quarter of such a row, so the published route, its
+        lengths form and its row form all give the Clarke route's pair.
+        """
+        geom = RobotGeometry(n=scheme.n, d=1.0, l=0.1)
+        # the Allen4 gain is 2, so its Clarke route overflows above 9e307
+        top = 8.9e307 if scheme is LegacyScheme.ALLEN4 else 1.7e308
+        rng = np.random.default_rng(1021)
+        radius = rng.uniform(2.0**1022, top, 200)
+        angle = rng.uniform(-math.pi, math.pi, 200)
+        rhos = [inverse_transform(geom, (r * math.cos(a), r * math.sin(a)))
+                for r, a in zip(radius, angle)]
+        rows = legacy_from_lengths_rows(scheme, geom, geom.l - np.array(rhos))
+        for rho, row in zip(rhos, rows):
+            assert np.abs(rho).max() >= 2.0**1021
+            via = legacy_from_clarke(scheme, geom, forward_transform(geom, rho))
+            scale = max(abs(via.p1), abs(via.p2))
+            for pair in (legacy_from_displacements(scheme, geom, rho)[1:],
+                         legacy_from_lengths(scheme, geom, geom.l - rho)[1:], row):
+                assert abs(pair[0] - via.p1) <= 1e-12 * scale
+                assert abs(pair[1] - via.p2) <= 1e-12 * scale
 
     @pytest.mark.parametrize("scheme,rho", [
         (LegacyScheme.ALLEN4, [math.inf, 0.0, 0.0, 0.0]), (LegacyScheme.DIAN3, [0.0, math.nan, 0.0]),

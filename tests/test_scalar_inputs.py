@@ -1,0 +1,141 @@
+"""The scalar calls at large joint counts and on every input type they take.
+
+The scalar transforms and contains take ndarray.dot where their row forms
+take a stacked matmul. Both run the same BLAS matrix-vector product on each
+vector, and the checks at large n hold them to bitwise equality there too,
+since a BLAS may pick another kernel as n grows. Each scalar call also gives
+the same values and the same errors for a list, a tuple, a float64 array, a
+float32 array and a ClarkeCoords of the same numbers.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from clarke_kinematics import (
+    ClarkeCoords,
+    LegacyScheme,
+    Pose,
+    RobotGeometry,
+    SingularityStrategy,
+    contains,
+    contains_rows,
+    forward_kinematics,
+    forward_transform,
+    forward_transform_rows,
+    inverse_transform,
+    inverse_transform_rows,
+    legacy_from_clarke,
+    projector,
+)
+
+LARGE_N = [17, 64, 257, 1024]
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_transforms_at_large_n_equal_their_row_forms(n):
+    geometry = RobotGeometry(n=n, d=0.01, l=0.1)
+    rng = np.random.default_rng(n)
+    rho = rng.normal(size=(16, n)) * 10.0 ** rng.uniform(-6, 3, (16, 1))
+    clarke = rng.normal(size=(16, 2)) * 10.0 ** rng.uniform(-6, 3, (16, 1))
+    np.testing.assert_array_equal(forward_transform_rows(geometry, rho),
+                                  [forward_transform(geometry, row) for row in rho])
+    np.testing.assert_array_equal(inverse_transform_rows(geometry, clarke),
+                                  [inverse_transform(geometry, row) for row in clarke])
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_contains_at_large_n_rounds_the_residual_as_its_row_form(n):
+    """tol set to a row's own residual, its largest |rho - P rho|.
+
+    With |rho| <= 1 the bound is tol itself, so the row is a member at that
+    tol and not at the float below it, in both forms, only when both round
+    the residual as contains_rows does.
+    """
+    geometry = RobotGeometry(n=n, d=0.01, l=0.1)
+    rng = np.random.default_rng(1000 + n)
+    inside = inverse_transform_rows(geometry, rng.uniform(-0.5, 0.5, (4, 2)))
+    rho = np.vstack([inside, inside + 1e-9 * rng.normal(size=inside.shape),
+                     rng.uniform(-1.0, 1.0, (4, n))])
+    residual = np.abs(rho - (projector(geometry) @ rho[:, :, None])[:, :, 0]).max(axis=1)
+    assert np.abs(rho).max() <= 1.0 and (residual[4:] > 0.0).all()
+    for i, (row, tol) in enumerate(zip(rho, residual.tolist())):
+        if tol == 0.0:
+            continue
+        below = math.nextafter(tol, 0.0)
+        assert contains(geometry, row, tol) and contains_rows(geometry, rho, tol)[i]
+        assert not contains(geometry, row, below) and not contains_rows(geometry, rho, below)[i]
+
+
+def _outcome(call, *args):
+    """What call(*args) gives, comparable across input types: its value or its error."""
+    try:
+        result = call(*args)
+    except Exception as exc:  # the type and message are what must agree
+        return type(exc), str(exc)
+    if isinstance(result, Pose):
+        return "pose", result.position.tobytes(), result.rotation.tobytes()
+    if isinstance(result, np.ndarray):
+        return "array", result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, tuple):
+        return type(result), tuple(map(repr, result)), tuple(map(type, result))
+    return type(result), result
+
+
+def _vector_forms(values):
+    forms = [list(values), tuple(values), np.array(values, dtype=np.float64)]
+    if all(abs(v) < 2.0**100 for v in values):  # float32, where it holds them exactly
+        forms.append(np.array(values, dtype=np.float32))
+    if all(math.isfinite(v) for v in values):  # np.float64 scalars of the same numbers
+        forms.append(tuple(map(np.float64, values)))
+    return forms
+
+
+def _pair_forms(values):
+    forms = _vector_forms(values)
+    if len(values) == 2:
+        forms.append(ClarkeCoords(*values))
+    return forms
+
+
+def _agree(call, forms):
+    outcomes = [_outcome(call, form) for form in forms]
+    assert all(o == outcomes[0] for o in outcomes), outcomes
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_input_type_gives_the_same_values_and_errors(n):
+    geometry = RobotGeometry(n=n, d=0.01, l=0.1)
+    schemes = [s for s in LegacyScheme if s.n == n]
+    rng = np.random.default_rng(40 + n)
+    # multiples of 2**-30 below 2**-9: exact in float32 too
+    exact = lambda size: (rng.integers(-2**21, 2**21, size) * 2.0**-30).tolist()  # noqa: E731
+    a, b = exact(2)
+    inside = [a, b, -a - b] if n == 3 else [a, b, -a, -b]  # in the joint space
+    vectors = [exact(n) for _ in range(20)] + [
+        inside, [0.0] * n,
+        [math.nan] + [0.0] * (n - 1), [1.0, math.inf] + [0.0] * (n - 2),
+        [0.0] * (n + 1), [0.0] * (n - 1), [1e308, -1e308] + [0.0] * (n - 2),
+    ]
+    pairs = [exact(2) for _ in range(20)] + [
+        [0.0, 0.0], [math.nan, 0.0], [0.0, -math.inf], [1.0, 2.0, 3.0], [1.0],
+        [3 * 2.0**-10, 2.0**-43], [1e308, 1e308],
+    ]
+    members = set()
+    for values in vectors:
+        forms = _vector_forms(values)
+        members.add(_agree(lambda rho: contains(geometry, rho), forms)[-1])
+        _agree(lambda rho: forward_transform(geometry, rho), forms)
+    assert members == {True, False, "expected %d joint displacements, got shape (%d,)" % (n, n + 1),
+                       "expected %d joint displacements, got shape (%d,)" % (n, n - 1)}
+    outcomes = set()
+    for values in pairs:
+        forms = _pair_forms(values)
+        outcomes.add(_agree(lambda c: inverse_transform(geometry, c), forms)[0])
+        for strategy in SingularityStrategy:
+            _agree(lambda c: forward_kinematics(geometry, c, strategy), forms)
+        for scheme in schemes:
+            _agree(lambda c: legacy_from_clarke(scheme, geometry, c), forms)
+    assert outcomes == {"array", ValueError}
