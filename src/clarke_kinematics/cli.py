@@ -21,6 +21,7 @@ import shutil
 import stat
 import sys
 import tempfile
+import warnings
 from array import array
 from collections.abc import Iterator
 from typing import BinaryIO
@@ -86,11 +87,15 @@ def load_geometry(path: str) -> RobotGeometry:
 # block's temporaries (about 200 bytes a cell) stay near 2 MB however long the file is.
 _CHUNK_CELLS = 8192
 
-# A block of plain bytes goes through numpy's C text reader, which reads
-# them as float() does.  Everything _write_table and `sample` write is plain.
-_PLAIN_BODY = b"0123456789+-.eE, \t\r\n"
-# Bytes per read: np.loadtxt's per-call overhead is small beside a block this
-# size, and a block's text and lines stay far below the table.
+# A block of plain bytes, which hold only number bytes, separators and the
+# whitespace around them, is parsed by numpy's C text reader for long doubles
+# (glibc strtold), which costs about half what float() or np.loadtxt does per
+# 17-digit cell.  Everything _write_table and `sample` write is plain.
+_NUMBER = b"0123456789+-.eE"
+_PLAIN_SEPARATORS = b", \t\r\n"
+_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
+# Bytes per read: numpy's per-call overhead is small beside a block this size,
+# and a block's text and temporaries stay far below the table.
 _READ_BYTES = 1 << 16
 
 
@@ -101,8 +106,10 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
     so a pipe reads as a regular file does, and memory holds the table and
     one block.  A UTF-8 byte order mark is dropped.  Blank lines are skipped
     and not counted: messages number the data rows from 1, as _write_table
-    does.  After the first bad row the rest of the file is only decoded, so
-    a file that is not UTF-8 exits 2 even where an earlier row is bad.
+    does.  Every cell reads as float() reads it: a plain block through
+    _plain_rows, any other one cell by cell.  After the first bad row the
+    rest of the file is only decoded, so a file that is not UTF-8 exits 2
+    even where an earlier row is bad.
     """
     k = len(expected_header)
     values = array("d")
@@ -110,18 +117,17 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
     try:
         with open(path, "rb") as raw:
             for block in _blocks(raw):
-                text = block.decode("utf-8")
-                first = offset == 0
-                offset += len(block)
-                if error is not None:
-                    continue
                 try:
-                    if first:
-                        text = _body(path, expected_header, text.removeprefix("\ufeff"))
-                        block = text.encode()
-                    _parse_rows(values, path, expected_header, block, text)
+                    if error is not None:
+                        block.decode("utf-8")
+                    elif offset == 0:
+                        text = _body(path, expected_header, block.decode("utf-8").removeprefix("\ufeff"))
+                        _parse_rows(values, path, expected_header, text.encode())
+                    else:
+                        _parse_rows(values, path, expected_header, block)
                 except CliError as exc:
                     error = exc
+                offset += len(block)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -163,22 +169,19 @@ def _body(path: str, expected_header: list[str], text: str) -> str:
     return text[len(line) :]
 
 
-def _parse_rows(values: array, path: str, header: list[str], data: bytes, text: str) -> None:
-    """Append to values the rows of a block's non-blank lines, given its bytes and text.
+def _parse_rows(values: array, path: str, header: list[str], data: bytes) -> None:
+    """Append to values the rows of a block's non-blank lines, given its bytes.
 
-    A block of plain bytes goes through np.loadtxt.  Any other block, and a
-    plain one that np.loadtxt refuses or reads as non-finite, is read one
-    stripped cell at a time by float(), up to the first row with the wrong
-    cell count or the first cell that is not a finite float, which is named.
+    A block that _plain_rows refuses is decoded and read one stripped cell at
+    a time by float(), up to the first row with the wrong cell count or the
+    first cell that is not a finite float, which is named.
     """
     k = len(header)
-    lines = text.splitlines()
-    if not data.translate(None, _PLAIN_BODY) and text.strip():  # np.loadtxt warns of empty input
-        with contextlib.suppress(ValueError):  # refused: a whitespace-only line, say
-            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            if rows.shape[1] == k and np.isfinite(rows).all():
-                values.frombytes(rows.tobytes())
-                return
+    rows = _plain_rows(data, k)
+    if rows is not None:
+        values.frombytes(memoryview(rows).cast("B"))
+        return
+    lines = data.decode("utf-8").splitlines()
     for ridx, line in enumerate(filter(str.strip, lines), start=len(values) // k + 1):
         cells = line.split(",")
         if len(cells) != k:
@@ -196,6 +199,84 @@ def _parse_rows(values: array, path: str, header: list[str], data: bytes, text: 
                     EXIT_PARSE, f"{path}: row {ridx}, column {name}: non-finite value {cell!r}"
                 )
             values.append(value)
+
+
+def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
+    """The cells of a plain block's rows as float() reads them, or None.
+
+    None unless every byte is a number byte, a separator or whitespace next
+    to one, every line holds k cells, no cell is empty and every cell reads
+    as a finite float.  Its CR and CRLF ends, blank lines and the spaces and
+    tabs around cells are dropped first, in a block that has them, so that
+    no whitespace reaches the parser (which would read a blank cell as 0).
+    The block, its line ends made commas, is parsed as long doubles and each
+    cast to a double.  That second rounding differs from float()'s one only
+    where the long double lies exactly halfway between two doubles: such
+    cells are read again by float(), as are subnormal results, nonzero
+    values cast to zero and DBL_MAX, where the argument is not relied on.
+    """
+    row = b"," * (k - 1) + b"\n"
+    seps = data.translate(None, _NUMBER)
+    if not seps or seps != row * (len(seps) // k):
+        if seps.translate(None, _PLAIN_SEPARATORS):
+            return None
+        data = _normalized(data, seps)
+        if data is None:
+            return None
+        if not data:
+            return np.empty(0)
+        data += b"\n"
+        seps = data.translate(None, _NUMBER)
+        if seps != row * (len(seps) // k):
+            return None
+    text = data.replace(b"\n", b",")
+    with warnings.catch_warnings():
+        # unmatched data (an empty cell, say) raises ValueError from numpy 2,
+        # and gives a partial array and this warning before it
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            parsed = np.fromstring(text, dtype=np.longdouble, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if parsed.size != len(seps):  # an empty last cell ends the parse early
+        return None
+    with np.errstate(all="ignore"):
+        rows = parsed.astype(np.float64)
+        if not np.isfinite(rows).all():
+            return None
+        # twice the rounding error of the cast (doubled before the cast, so that
+        # it does not underflow) is the gap to a neighbour just when it was a tie
+        step = ((parsed - rows) * 2).astype(np.float64)
+        size = np.abs(rows)
+        again = (step != 0) & ((rows + step) - rows == step)
+        again |= (size < _DBL_MIN) & (parsed != 0)
+        again |= size == _DBL_MAX
+    if again.any():
+        cells = text.split(b",")
+        for i in np.flatnonzero(again).tolist():
+            rows[i] = float(cells[i])
+    return rows
+
+
+def _normalized(data: bytes, seps: bytes) -> bytes | None:
+    """A plain block's bytes with LF line ends, no blank lines and no padding around cells.
+
+    seps holds the block's bytes that are not number bytes.  None where a
+    space or tab lies inside a cell, between two number bytes.
+    """
+    if b"\r" in seps:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b" " in seps or b"\t" in seps:
+        buf = np.frombuffer(data, dtype=np.uint8)
+        solid = np.flatnonzero((buf != 32) & (buf != 9))
+        gaps = np.flatnonzero(np.diff(solid) > 1)
+        before, after = buf[solid[gaps]], buf[solid[gaps + 1]]
+        if ((before != 44) & (before != 10) & (after != 44) & (after != 10)).any():
+            return None
+        data = data.translate(None, b" \t")
+    while b"\n\n" in data:
+        data = data.replace(b"\n\n", b"\n")
+    return data.strip(b"\n")
 
 
 def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None) -> None:

@@ -189,14 +189,14 @@ def test_row_mapping_out_of_memory_exits_2_and_publishes_nothing(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == listing  # no output, no temporary file
 
 
-def _loadtxt_out_of_memory():
-    """np.loadtxt runs out of memory, as it does on a table past `ulimit -v`."""
-    return mock.patch.object(np, "loadtxt", side_effect=MemoryError)
+def _parser_out_of_memory():
+    """numpy's text parser runs out of memory, as it does on a table past `ulimit -v`."""
+    return mock.patch.object(np, "fromstring", side_effect=MemoryError)
 
 
 def test_reader_out_of_memory_exits_2(tmp_path):
     argv = _fk_argv(tmp_path, BENT, "analytic-branch")
-    with _loadtxt_out_of_memory():
+    with _parser_out_of_memory():
         result = _run(argv)
     path = tmp_path / "in.csv"
     assert result == (cli.EXIT_USAGE, "", f"error: {path}: not enough memory for more than 0 rows\n")
@@ -206,7 +206,7 @@ def test_reader_out_of_memory_exits_2(tmp_path):
 def test_membership_reader_out_of_memory_exits_2(tmp_path):
     path = _csv(tmp_path / "rho.csv", [f"rho_{i}" for i in range(1, 5)], np.zeros((5, 4)))
     argv = ["check", "--geometry", _geometry(tmp_path, 4), "--n-max", "4", "--membership", path]
-    with _loadtxt_out_of_memory():
+    with _parser_out_of_memory():
         rc, out, err = _run(argv)
     assert rc == cli.EXIT_USAGE and out == ""
     assert err == f"error: {path}: not enough memory for more than 0 rows\n"

@@ -10,6 +10,7 @@ documented exit code.
 """
 
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -175,7 +176,12 @@ GOOD_PLAIN = st.one_of(
     st.sampled_from(["0", "-0", "+1", "5e-324", "4.9406564584124654e-324", "2.2250738585072014e-308",
                      "1e-400", "1e999", "-1E+5", "+.5", "5."]),
 )
-BAD_PLAIN = st.sampled_from(["1e", ".", "+-1", "1.2.3", "e5", "", "-", "1e+", "1 2"])
+# numpy's parser reads a prefix of such a cell and stops at the rest, which
+# it must refuse as float() does
+BAD_PLAIN = st.one_of(
+    st.sampled_from(["1e", ".", "+-1", "1.2.3", "e5", "", "-", "1e+", "1 2", "e", ".e1", "1..2", "1e+-2"]),
+    st.text(alphabet="0123456789+-.eE", min_size=1, max_size=6),
+)
 
 
 def padded(cells):
@@ -201,20 +207,20 @@ def plain_files(draw):
 
 def _strict_outcome(read, *args):
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # np.loadtxt's "empty input" UserWarning included
+        warnings.simplefilter("error")  # numpy 1's DeprecationWarning on unmatched data included
         return _outcome(read, *args)
 
 
 def _assert_reads_as_reference(path, header):
-    """The reference's outcome, and whether any block went through np.loadtxt."""
+    """The reference's outcome, and whether any block went through numpy's C parser."""
     want, want_error = _outcome(reference_read_table, str(path), header)
-    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+    with mock.patch.object(np, "fromstring", wraps=np.fromstring) as fromstring:
         got, got_error = _strict_outcome(cli._read_table, str(path), header)
     assert got_error == want_error
     if want_error is None:
         want = want.reshape(-1, len(header))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()  # -0.0 included
-    return want_error, loadtxt.called
+    return want_error, fromstring.called
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,9 +239,9 @@ def test_plain_files_match_reference(tmp_path_factory, case, read_bytes):
     ("\ufeffrho_re,rho_im\r\n1,2\r\n\r\n-0,5e-324\r\n", True),
     ("rho_re , rho_im\r1,2\r3,4", True),
     ("rho_re,rho_im\n1e999,0\n", True),  # the C reader gives inf, float() names it: exit 3
-    ("rho_re,rho_im\n1,2\n \n", True),  # refused for its whitespace-only line: float() reads it
+    ("rho_re,rho_im\n1,2\n \n", True),  # a whitespace-only line
     ("rho_re,rho_im\r\n\t\r\n 1, 2\r\n\r\n3 ,4\t\r\n", True),
-    ("rho_re,rho_im\n1,\x0c2\n", False),  # a line break to splitlines(), space to loadtxt
+    ("rho_re,rho_im\n1,\x0c2\n", False),  # a line break to splitlines()
     ("rho_re,rho_im\n1\x0b,2\n", False),
     ("rho_re,\x0crho_im\n1,2\n", False),  # the header ends at \x0c: exit 2
     ("rho_re,rho_im\n1,2\u2028\n", False),
@@ -245,12 +251,113 @@ def test_plain_files_match_reference(tmp_path_factory, case, read_bytes):
     ("rho_re,rho_im\n1,\x1f2\n3, 4,5\n", False),  # strip() drops \x1f, float() does not; row 2
     ("rho_re,rho_im", False),
     ("rho_re,rho_im\n", False),
-    ("rho_re,rho_im\r\n \t\n\n", False),  # blank only: loadtxt would warn of empty input
+    ("rho_re,rho_im\r\n \t\n\n", False),  # blank only: nothing to parse
 ])
 def test_edge_files_read_as_reference(tmp_path, text, fast):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _assert_reads_as_reference(path, ["rho_re", "rho_im"])[1] == fast
+
+
+def halfway_cells(x):
+    """The exact decimal halfway between x and the next double up, and three 40-digit cells by it.
+
+    The long-double parse rounds all four to the same value, halfway between
+    two doubles, which a second rounding to a double may take to the wrong one.
+    """
+    with decimal.localcontext(prec=1200):
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+    with decimal.localcontext(prec=40):
+        near = +mid
+        unit = decimal.Decimal(1).scaleb(near.adjusted() - 39)
+        return [str(mid), str(near), str(near - unit), str(near + unit)]
+
+
+# Cells at the edges of the long-double route: the two sides of the smallest
+# subnormal's half, the largest subnormal, the largest double, underflow to
+# zero, -0, 40-digit mantissas and exponents of +-400 that come back in range.
+EDGE_CELLS = [
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "-2.4703282292062328e-324",
+    "4.9406564584124654e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "1.7976931348623158e308", "-1.7976931348623158e308",
+    "1e-400", "-1e-400", "-0", "0e400", "9007199254740993", "9007199254740993.000000000000000000001",
+    "1.000000000000000055511151231257827021181583404541015625",
+    "0.1000000000000000055511151231257827021181",
+    "1234567890123456789012345678901234567890e-400",
+    "0.0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000000000001e400",
+]
+
+
+def _exactness_corpus():
+    rng = np.random.default_rng(16)
+    doubles = np.concatenate([
+        rng.normal(scale=0.01, size=300),
+        np.ldexp(rng.uniform(1, 2, 700), rng.integers(-1074, 1024, 700)),  # every binade
+        [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0, 2.0**53, 1.7976931348623155e308],
+    ])
+    doubles[::3] *= -1
+    cells = ["%.17g" % x for x in doubles] + EDGE_CELLS
+    for x in doubles:
+        if math.isfinite(math.nextafter(x, math.inf)):
+            cells += halfway_cells(float(x))
+    return cells
+
+
+def test_cells_read_as_float_reads_them(tmp_path):
+    """Every cell of the corpus reads bit for bit as float() reads it.
+
+    The corpus must be one that a bare long-double parse and cast gets wrong
+    in some cells where long doubles are wider than doubles, or it shows
+    nothing.
+    """
+    cells = _exactness_corpus()
+    cells += ["0"] * (-len(cells) % 3)
+    path = tmp_path / "exact.csv"
+    rows = [",".join(cells[i : i + 3]) for i in range(0, len(cells), 3)]
+    path.write_text("rho_1,rho_2,rho_3\n" + "\n".join(rows) + "\n")
+    assert _assert_reads_as_reference(path, ["rho_1", "rho_2", "rho_3"]) == (None, True)
+    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
+        with np.errstate(all="ignore"):
+            cast = np.fromstring(",".join(cells), dtype=np.longdouble, sep=",").astype(float)
+        assert (cast != [float(c) for c in cells]).sum() > 100
+
+
+DECIMAL_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x),
+    st.floats(allow_nan=False, allow_infinity=False, max_value=1.7976931348623155e308).map(halfway_cells).flatmap(st.sampled_from),
+    st.builds(lambda sign, digits, point, exponent: f"{sign}{digits[:point]}.{digits[point:]}e{exponent}",
+              st.sampled_from(["", "-", "+"]), st.text("0123456789", min_size=1, max_size=40),
+              st.integers(0, 40), st.integers(-400, 400)),
+    st.sampled_from(EDGE_CELLS + ["1.7976931348623159e308", "1e400", "-1e400"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DECIMAL_CELLS, min_size=2, max_size=40))
+def test_decimal_cells_read_as_reference(tmp_path_factory, cells):
+    """Long mantissas, far exponents and cells near halfway read as float() reads them.
+
+    A cell that overflows (1.7976931348623159e308, 1e400) exits 3 and is named.
+    """
+    cells += ["0"] * (len(cells) % 2)
+    path = tmp_path_factory.mktemp("decimal") / "in.csv"
+    path.write_text("rho_re,rho_im\n" + "".join(f"{a},{b}\n" for a, b in zip(cells[::2], cells[1::2])))
+    error, fast = _assert_reads_as_reference(path, ["rho_re", "rho_im"])
+    assert fast and (error is None or error[0] == cli.EXIT_PARSE)
+
+
+@pytest.mark.parametrize("line", ["1, ,2", "1,\t,2", "1,\t,2\r"])
+def test_blank_cell_is_named(workdir, line):
+    """numpy's parser reads a blank cell as 0 ("0, ,0" gives three zeros): it must never see one."""
+    path = workdir / "blank.csv"
+    path.write_bytes(f"rho_1,rho_2,rho_3\n{line}\n".encode())
+    argv = ["transform", "--direction", "forward", "--geometry", str(workdir / "g3.json"),
+            "--input", str(path), "--output", str(workdir / "blank-out.csv")]
+    with mock.patch.object(np, "fromstring", wraps=np.fromstring) as fromstring:
+        code, stderr, _ = _main(argv)
+    assert (code, stderr) == (cli.EXIT_PARSE, f"error: {path}: row 1, column rho_2: cannot parse ''\n")
+    assert fromstring.called
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
