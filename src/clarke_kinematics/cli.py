@@ -88,11 +88,13 @@ def load_geometry(path: str) -> RobotGeometry:
 _CHUNK_CELLS = 8192
 
 # A block of plain bytes, which hold only number bytes, separators and the
-# whitespace around them, is parsed by numpy's C text reader for long doubles
-# (glibc strtold), which costs about half what float() or np.loadtxt does per
-# 17-digit cell.  Everything _write_table and `sample` write is plain.
+# whitespace around them, is parsed by numpy's C text parser for long doubles
+# (the C library's strtold), which costs about half what float() or
+# np.loadtxt costs per 17-digit cell.  Everything _write_table and `sample`
+# write is plain.
 _NUMBER = b"0123456789+-.eE"
 _PLAIN_SEPARATORS = b", \t\r\n"
+_LINE_ENDS = (b"\n", b"\r\n", b"\r")
 _DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 # Bytes per read: numpy's per-call overhead is small beside a block this size,
 # and a block's text and temporaries stay far below the table.
@@ -206,18 +208,22 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
 
     None unless every byte is a number byte, a separator or whitespace next
     to one, every line holds k cells, no cell is empty and every cell reads
-    as a finite float.  Its CR and CRLF ends, blank lines and the spaces and
-    tabs around cells are dropped first, in a block that has them, so that
-    no whitespace reaches the parser (which would read a blank cell as 0).
-    The block, its line ends made commas, is parsed as long doubles and each
-    cast to a double.  That second rounding differs from float()'s one only
-    where the long double lies exactly halfway between two doubles: such
-    cells are read again by float(), as are subnormal results, nonzero
-    values cast to zero and DBL_MAX, where the argument is not relied on.
+    as a finite float.  A block whose lines all end alike (LF, CRLF or CR)
+    and hold no other whitespace is parsed as it is; in any other, line ends
+    become LF and blank lines and the spaces and tabs around cells are
+    dropped first, so that no whitespace reaches the parser (which reads a
+    blank cell as 0).  The block, its line ends made commas, is parsed as
+    long doubles, each cast to a double.  That second rounding differs from
+    float()'s one only where the long double lies exactly halfway between
+    two doubles: such cells are read again by float().  So are subnormal
+    results, nonzero cells cast to zero and DBL_MAX in magnitude, where the
+    cast could depend on the FPU's flush-to-zero mode.
     """
-    row = b"," * (k - 1) + b"\n"
     seps = data.translate(None, _NUMBER)
-    if not seps or seps != row * (len(seps) // k):
+    first_end = seps[k - 1 : k + 1]
+    eol = first_end if first_end == b"\r\n" else first_end[:1]
+    row = b"," * (k - 1) + eol
+    if eol not in _LINE_ENDS or seps != row * (len(seps) // len(row)):
         if seps.translate(None, _PLAIN_SEPARATORS):
             return None
         data = _normalized(data, seps)
@@ -225,11 +231,11 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
             return None
         if not data:
             return np.empty(0)
-        data += b"\n"
         seps = data.translate(None, _NUMBER)
+        eol, row = b"\n", b"," * (k - 1) + b"\n"
         if seps != row * (len(seps) // k):
             return None
-    text = data.replace(b"\n", b",")
+    text = data.replace(eol, b",")
     with warnings.catch_warnings():
         # unmatched data (an empty cell, say) raises ValueError from numpy 2,
         # and gives a partial array and this warning before it
@@ -238,7 +244,7 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
             parsed = np.fromstring(text, dtype=np.longdouble, sep=",")
         except (ValueError, DeprecationWarning):
             return None
-    if parsed.size != len(seps):  # an empty last cell ends the parse early
+    if parsed.size != len(seps) // len(row) * k:  # an empty last cell ends the parse early
         return None
     with np.errstate(all="ignore"):
         rows = parsed.astype(np.float64)
@@ -259,7 +265,7 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
 
 
 def _normalized(data: bytes, seps: bytes) -> bytes | None:
-    """A plain block's bytes with LF line ends, no blank lines and no padding around cells.
+    """A plain block's lines, each ended by LF, without blank lines or padding around cells.
 
     seps holds the block's bytes that are not number bytes.  None where a
     space or tab lies inside a cell, between two number bytes.
@@ -267,16 +273,18 @@ def _normalized(data: bytes, seps: bytes) -> bytes | None:
     if b"\r" in seps:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b" " in seps or b"\t" in seps:
-        buf = np.frombuffer(data, dtype=np.uint8)
-        solid = np.flatnonzero((buf != 32) & (buf != 9))
-        gaps = np.flatnonzero(np.diff(solid) > 1)
-        before, after = buf[solid[gaps]], buf[solid[gaps + 1]]
-        if ((before != 44) & (before != 10) & (after != 44) & (after != 10)).any():
+        buf = np.frombuffer(b"\n" + data + b"\n", dtype=np.uint8)
+        pads = np.flatnonzero((buf == ord(" ")) | (buf == ord("\t")))
+        before = buf[pads[np.diff(pads, prepend=-1) != 1] - 1]  # the byte before each run of pads
+        after = buf[pads[np.diff(pads, append=len(buf)) != 1] + 1]
+        comma, lf = ord(","), ord("\n")
+        if ((before != comma) & (before != lf) & (after != comma) & (after != lf)).any():
             return None
         data = data.translate(None, b" \t")
     while b"\n\n" in data:
         data = data.replace(b"\n\n", b"\n")
-    return data.strip(b"\n")
+    data = data.lstrip(b"\n")
+    return data if not data or data.endswith(b"\n") else data + b"\n"
 
 
 def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None) -> None:
