@@ -283,8 +283,8 @@ def _normalized(data: bytes, seps: bytes) -> bytes | None:
         data = data.translate(None, b" \t")
     while b"\n\n" in data:
         data = data.replace(b"\n\n", b"\n")
-    data = data.lstrip(b"\n")
-    return data if not data or data.endswith(b"\n") else data + b"\n"
+    data = data.strip(b"\n")
+    return data + b"\n" if data else data
 
 
 def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None) -> None:

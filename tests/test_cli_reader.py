@@ -241,6 +241,11 @@ def test_plain_files_match_reference(tmp_path_factory, case, read_bytes):
     ("rho_re,rho_im\n1e999,0\n", True),  # the C reader gives inf, float() names it: exit 3
     ("rho_re,rho_im\n1,2\n \n", True),  # a whitespace-only line
     ("rho_re,rho_im\r\n\t\r\n 1, 2\r\n\r\n3 ,4\t\r\n", True),
+    ("rho_re,rho_im\r\n1,2\r\n3,4\r\n", True),  # every line ends alike: parsed as it is
+    ("rho_re,rho_im\r1,2\r3,4\r", True),
+    ("rho_re,rho_im\n1,2\r\n3,4\r5,6\n", True),
+    ("rho_re,rho_im\n1 2,3\n", False),  # a space inside a cell: float() names it
+    ("rho_re,rho_im\n1,2\n3\n", False),  # a row with the wrong cell count
     ("rho_re,rho_im\n1,\x0c2\n", False),  # a line break to splitlines()
     ("rho_re,rho_im\n1\x0b,2\n", False),
     ("rho_re,\x0crho_im\n1,2\n", False),  # the header ends at \x0c: exit 2
