@@ -37,6 +37,10 @@ _REAL = (int, float, np.integer, np.floating)
 # in magnitude overflows (nor, for P, the residual rho - P rho): the product
 # needs no guard against numpy's overflow warning.
 MATVEC_SAFE = 2.0**1022
+# Below this nothing in a form that scaled_form serves overflows: a sum of up
+# to four of its values, a value times d, or up to 3 times d.
+_SCALE_SAFE = 2.0**1021
+_DBL_MIN = 2.0**-1022
 
 
 class GeometryError(ValueError):
@@ -280,6 +284,43 @@ def _large_product(matrix: np.ndarray, vector: np.ndarray, values, what: str) ->
         return matrix.dot(vector)
 
 
+def scaled_form(form, values, d: float, power: int):
+    """form(values, d), linear in the float values and in d**power (power -1, 0 or 1): as written
+    where that is finite and, for power -1, DBL_MIN <= d < _SCALE_SAFE, else _rescaled."""
+    out = form(values, d)
+    if all_finite(out) and (power >= 0 or _DBL_MIN <= d < _SCALE_SAFE):
+        return out
+    return _rescaled(form, values, max(map(abs, values)), d, power)
+
+
+def scaled_rows(form, columns, d: float, power: int) -> np.ndarray:
+    """The (N, k) rows of scaled_form over numpy columns, each bitwise as scaled_form gives it;
+    a row that overflows comes out non-finite, with no numpy warning."""
+    with np.errstate(all="ignore"):
+        out = np.column_stack(form(columns, d))
+        redo = ~np.isfinite(out).all(axis=1) | (power < 0 and not _DBL_MIN <= d < _SCALE_SAFE)
+        part = [c[redo] for c in columns]
+        out[redo] = np.column_stack(_rescaled(form, part, np.abs(part).max(axis=0), d, power))
+    return out
+
+
+def _rescaled(form, values, peak, d: float, power: int):
+    """form(values, d) at power-of-two scales of values and d; peak is max|value|.
+
+    A power of two changes no bit of a value that stays normal.  For power -1,
+    values and d are divided by 8 where d reaches _SCALE_SAFE and by 2**-53
+    where d is subnormal, which leaves the form's value as it is.  Values that
+    then reach _SCALE_SAFE are quartered (for power 1, d is, where peak * d
+    reaches it), and the form's value is multiplied by 4 last.
+    """
+    if power > 0:
+        four = 1.0 + 3.0 * (peak * d >= _SCALE_SAFE)
+        return [p * four for p in form(values, d / four)]
+    shift = 1.0 if power == 0 or _DBL_MIN <= d < _SCALE_SAFE else 8.0 if d > 1.0 else 2.0**-53
+    four = 1.0 + 3.0 * (peak / shift >= _SCALE_SAFE)
+    return [p * four for p in form([x / (shift * four) for x in values], d / shift)]
+
+
 def forward_transform_rows(geometry: RobotGeometry, rho_rows) -> np.ndarray:
     """Clarke rows (N, 2) of displacement rows (N, n).
 
@@ -288,7 +329,8 @@ def forward_transform_rows(geometry: RobotGeometry, rho_rows) -> np.ndarray:
     does (rows @ M_P.T would sum in another order).
     """
     arr = as_rows(rho_rows, geometry.n)
-    return (geometry.clarke.forward @ arr[:, :, None])[:, :, 0]
+    with np.errstate(all="ignore"):  # a row that overflows comes out non-finite
+        return (geometry.clarke.forward @ arr[:, :, None])[:, :, 0]
 
 
 def inverse_transform_rows(geometry: RobotGeometry, clarke_rows) -> np.ndarray:
@@ -298,7 +340,8 @@ def inverse_transform_rows(geometry: RobotGeometry, clarke_rows) -> np.ndarray:
     every row.
     """
     arr = as_rows(clarke_rows, 2)
-    return (geometry.clarke.right_inverse @ arr[:, :, None])[:, :, 0]
+    with np.errstate(all="ignore"):  # a row that overflows comes out non-finite
+        return (geometry.clarke.right_inverse @ arr[:, :, None])[:, :, 0]
 
 
 def projector(geometry: RobotGeometry) -> np.ndarray:

@@ -26,6 +26,9 @@ from .core import (
 )
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
+# sample maps its draws in blocks of at least this many rows: the BLAS splits
+# a product over the whole table between threads, which only costs time
+_SAMPLE_BLOCK = 8192
 
 
 class JointSpaceBasis(NamedTuple):
@@ -124,7 +127,10 @@ def sample(
         radius = geometry.d * phi_max * np.sqrt(rng.random(count))
         angle = 2.0 * np.pi * rng.random(count)
         clarke = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-        rows = clarke @ geometry.clarke.right_inverse.T
+        rows = np.empty((count, geometry.n))
+        blocks = max(1, count // _SAMPLE_BLOCK)  # no one-row block: it would round as a vector
+        for part, out in zip(np.array_split(clarke, blocks), np.array_split(rows, blocks)):
+            np.matmul(part, geometry.clarke.right_inverse.T, out=out)
     if not np.isfinite(rows).all():
         raise ValueError(
             f"phi_max {phi_max!r} at d {geometry.d!r} gives non-finite joint displacements"

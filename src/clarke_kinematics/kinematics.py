@@ -37,6 +37,7 @@ from .core import (
     as_vector,
     finite_real,
     positive_finite,
+    scaled_form,
 )
 
 _TAU = 2.0 * math.pi
@@ -216,13 +217,14 @@ _default_config = functools.lru_cache(maxsize=64)(RegularizationConfig.default)
 def arc_from_clarke(geometry: RobotGeometry, clarke) -> ArcParams:
     """Arc parameters from Clarke coordinates.
 
-    phi = |clarke| / d and theta = atan2(rho_im, rho_re); theta is pinned to 0
-    in the straight configuration.  Valid with or without the constant
-    curvature assumption; kappa = phi/l is meaningful only with it.  Raises
-    ValueError when clarke is not finite or phi or kappa overflows.
+    phi = |clarke / d|, the bending angle forward_kinematics evaluates, and
+    theta = atan2(rho_im, rho_re); theta is pinned to 0 in the straight
+    configuration.  Valid with or without the constant curvature assumption;
+    kappa = phi/l is meaningful only with it.  Raises ValueError when clarke
+    is not finite or phi or kappa overflows.
     """
     re, im = as_pair(clarke, "Clarke coordinates")
-    phi = math.hypot(re, im) / geometry.d
+    phi = _bending(re, im, geometry.d, _FLOAT_OPS)[2]
     kappa = phi / geometry.l
     if not math.isfinite(kappa):  # so phi is finite too
         raise ValueError(
@@ -235,10 +237,11 @@ def arc_from_clarke(geometry: RobotGeometry, clarke) -> ArcParams:
 def clarke_from_arc(geometry: RobotGeometry, arc: ArcParams) -> ClarkeCoords:
     """Clarke coordinates (d*phi*cos(theta), d*phi*sin(theta)) of an arc state.
 
-    Raises ValueError when the arc is not finite or d*phi overflows.
+    Raises ValueError when the arc is not finite or a coordinate overflows.
     """
-    m = geometry.d * arc.phi
-    re, im = m * math.cos(arc.theta), m * math.sin(arc.theta)
+    cos, sin = math.cos(arc.theta), math.sin(arc.theta)
+    re, im = scaled_form(lambda phi, d: (d * phi[0] * cos, d * phi[0] * sin),
+                         (float(arc.phi),), geometry.d, 1)
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(
             f"arc (theta {arc.theta}, phi {arc.phi}) gives non-finite Clarke coordinates "
@@ -286,17 +289,24 @@ def _decay_rows(config: RegularizationConfig, t: np.ndarray) -> np.ndarray:
 # The elementwise operations of the kernels below, on one Python float (math
 # functions only, so a scalar call adds no numpy call) and on numpy columns.
 # Each array operation rounds as its float twin on every entry: numpy's
-# float64 sin, cos and sqrt agree with math's, but its exp does not, so the
-# adaptive decay maps config.decay_value over the rows.
+# float64 sin, cos and sqrt agree with math's, but its exp and hypot do not,
+# so the adaptive decay and phi map config.decay_value and math.hypot.
 _FLOAT_OPS = SimpleNamespace(
-    sin=math.sin, cos=math.cos, sqrt=math.sqrt, maximum=max,
+    sin=math.sin, cos=math.cos, sqrt=math.sqrt, maximum=max, hypot=math.hypot,
     where=lambda cond, a, b: a if cond else b,
     decay=RegularizationConfig.decay_value,
 )
 _ARRAY_OPS = SimpleNamespace(
     sin=np.sin, cos=np.cos, sqrt=np.sqrt, maximum=np.maximum, where=np.where,
     decay=_decay_rows,
+    hypot=lambda u, v: np.fromiter(map(math.hypot, u.tolist(), v.tolist()), float, len(u)),
 )
+
+
+def _bending(re, im, d: float, ops):
+    """(u, v) = clarke/d and the bending angle phi = |(u, v)| that every map here evaluates."""
+    u, v = re / d, im / d
+    return u, v, ops.hypot(u, v)
 
 
 def _regularized_norm(ss, n: int, config: RegularizationConfig, ops):
@@ -378,9 +388,7 @@ def forward_kinematics(
     if config is None:
         config = _default_config(geometry)
 
-    u = re / geometry.d
-    v = im / geometry.d
-    phi = math.hypot(u, v)
+    u, v, phi = _bending(re, im, geometry.d, _FLOAT_OPS)
 
     if strategy is _AVOID_STRAIGHT and phi < config.epsilon:
         raise StraightConfigurationError.below(phi, config.epsilon)
@@ -415,18 +423,15 @@ def forward_kinematics_rows(
     if config is None:
         config = _default_config(geometry)
     re, im = arr[:, 0], arr[:, 1]
-    u = re / geometry.d
-    v = im / geometry.d
-    phi = np.fromiter(map(math.hypot, u.tolist(), v.tolist()), float, len(arr))
-    straight = phi < config.epsilon
+    with np.errstate(all="ignore"):  # a row that overflows comes out non-finite
+        u, v, phi = _bending(re, im, geometry.d, _ARRAY_OPS)
+        straight = phi < config.epsilon
+        if strategy is _AVOID_STRAIGHT and straight.any():
+            row = int(straight.argmax())
+            exc = StraightConfigurationError.below(float(phi[row]), config.epsilon)
+            exc.row = row
+            raise exc
 
-    if strategy is _AVOID_STRAIGHT and straight.any():
-        row = int(straight.argmax())
-        exc = StraightConfigurationError.below(float(phi[row]), config.epsilon)
-        exc.row = row
-        raise exc
-
-    with np.errstate(all="ignore"):
         phi_eff = _effective_angle(geometry, re, im, phi, strategy, config, _ARRAY_OPS)
         terms = _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, _ARRAY_OPS)
         return np.column_stack(terms)

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    _DBL_MIN,
+    _SCALE_SAFE,
     ClarkeCoords,
     RobotGeometry,
     all_finite,
@@ -35,6 +38,8 @@ from .core import (
     as_vector,
     forward_transform,
     forward_transform_rows,
+    scaled_form,
+    scaled_rows,
 )
 
 
@@ -59,21 +64,18 @@ class LegacyScheme(enum.Enum):
         member = object.__new__(cls)
         member._value_ = value
         member.n, member.pair_names, member._k = n, pair_names, k
+        member._power = 0 if k is None else -1  # of d in the pair: the Allen schemes' gain k/d
         return member
 
-    def _pair_of(self, re, im, d: float):
+    def _pair_of(self, clarke, d: float):
         """The scheme's (p1, p2) of Clarke coordinates; floats or numpy columns."""
         k = self._k
-        if k is None:
-            return re, im
-        return -k * im / d, k * re / d
+        return clarke if k is None else (-k * clarke[1] / d, k * clarke[0] / d)
 
-    def _clarke_of(self, p1, p2, d: float):
+    def _clarke_of(self, pair, d: float):
         """Clarke coordinates of the scheme's (p1, p2), the inverse of _pair_of."""
         k = self._k
-        if k is None:
-            return p1, p2
-        return p2 * d / k, -p1 * d / k
+        return pair if k is None else (pair[1] * d / k, -pair[0] * d / k)
 
     @classmethod
     def from_name(cls, name: str) -> "LegacyScheme":
@@ -124,11 +126,13 @@ def legacy_from_clarke(
     Raises ValueError when clarke is not finite or the pair overflows.
     """
     _check_scheme(scheme, geometry)
-    re, im = as_pair(clarke, "Clarke coordinates")
-    p1, p2 = scheme._pair_of(re, im, geometry.d)
-    if not (math.isfinite(p1) and math.isfinite(p2)):
-        raise ValueError(f"Clarke coordinates ({re}, {im}) give non-finite "
-                         f"{scheme.value} parameters ({p1}, {p2})")
+    clarke = as_pair(clarke, "Clarke coordinates")
+    p1, p2 = scheme._pair_of(clarke, geometry.d)
+    if not (math.isfinite(p1) and math.isfinite(p2) and _DBL_MIN <= geometry.d < _SCALE_SAFE):
+        p1, p2 = scaled_form(scheme._pair_of, clarke, geometry.d, scheme._power)
+        if not (math.isfinite(p1) and math.isfinite(p2)):
+            raise ValueError(f"Clarke coordinates ({clarke[0]}, {clarke[1]}) give non-finite "
+                             f"{scheme.value} parameters ({p1}, {p2})")
     return tuple.__new__(LegacyPair, (scheme, p1, p2))  # LegacyPair(...) without its Python frame
 
 
@@ -147,12 +151,12 @@ def clarke_from_legacy(
             raise SchemeMismatchError(
                 f"pair is tagged {pair.scheme.value}, expected {scheme.value}"
             )
-        p1, p2 = pair.p1, pair.p2
+        pair = pair.p1, pair.p2
     else:
-        p1, p2 = as_pair(pair, f"{scheme.value} parameters")
-    re, im = scheme._clarke_of(p1, p2, geometry.d)
+        pair = as_pair(pair, f"{scheme.value} parameters")
+    re, im = scaled_form(scheme._clarke_of, pair, geometry.d, -scheme._power)
     if not (math.isfinite(re) and math.isfinite(im)):
-        raise ValueError(f"{scheme.value} parameters ({p1}, {p2}) give non-finite "
+        raise ValueError(f"{scheme.value} parameters ({pair[0]}, {pair[1]}) give non-finite "
                          f"Clarke coordinates ({re}, {im})")
     return ClarkeCoords(re, im)
 
@@ -169,22 +173,12 @@ def legacy_from_displacements(
     """
     _check_scheme(scheme, geometry)
     values = as_vector(rho, geometry.n, "joint displacements").tolist()
-    if all_finite(values) and max(map(abs, values)) >= _FORMULA_SAFE:
-        p1, p2 = _pair_from_displacements(scheme, [0.25 * r for r in values], geometry.d)
-        p1, p2 = 4.0 * p1, 4.0 * p2
-    else:
-        p1, p2 = _pair_from_displacements(scheme, values, geometry.d)
+    p1, p2 = scaled_form(partial(_pair_from_displacements, scheme), values, geometry.d,
+                         scheme._power)
     if not (math.isfinite(p1) and math.isfinite(p2)):  # every entry of rho is in the pair
         raise ValueError(f"joint displacements {values} give non-finite "
                          f"{scheme.value} parameters ({p1}, {p2})")
     return LegacyPair(scheme, p1, p2)
-
-
-# Below this max|rho| no sum in the published formulas overflows: the largest,
-# 2*rho[0] - rho[1] - rho[2], stays within 4 max|rho|.  A finite row that
-# reaches it is evaluated at a quarter of its size and the pair scaled back,
-# which changes no bit while every value stays normal.
-_FORMULA_SAFE = 2.0**1021
 
 
 def _pair_from_displacements(scheme: LegacyScheme, rho, d: float):
@@ -196,17 +190,8 @@ def _pair_from_displacements(scheme: LegacyScheme, rho, d: float):
     if scheme is LegacyScheme.DELLA_SANTINA4:
         return (rho[0] - rho[2]) / 2.0, (rho[1] - rho[3]) / 2.0
     if scheme is LegacyScheme.ALLEN3:
-        # d = m * 2**-k with 1 <= m < 2: sqrt(3) * d and 3 * d overflow above
-        # 6e307, sqrt(3) * m and 3 * m never do, and each quotient is smaller
-        # than its numerator.  2**k, applied last and in two halves (2.0**k
-        # alone overflows for a subnormal d), keeps every bit of the division
-        # by sqrt(3) * d and 3 * d wherever the pair is normal.
-        m, e = math.frexp(d)
-        m, k = 2.0 * m, 1 - e
-        low, high = 2.0 ** (k // 2), 2.0 ** (k - k // 2)
-        u = (rho[2] - rho[1]) / (math.sqrt(3.0) * m) * low * high
-        v = (2.0 * rho[0] - rho[1] - rho[2]) / (3.0 * m) * low * high
-        return u, v
+        return ((rho[2] - rho[1]) / (math.sqrt(3.0) * d),
+                (2.0 * rho[0] - rho[1] - rho[2]) / (3.0 * d))
     return (rho[3] - rho[1]) / d, (rho[0] - rho[2]) / d
 
 
@@ -229,8 +214,7 @@ def legacy_from_clarke_rows(
 ) -> np.ndarray:
     """(p1, p2) rows of Clarke rows; bitwise equal to the scalar form legacy_from_clarke."""
     _check_scheme(scheme, geometry)
-    arr = as_rows(clarke_rows, 2)
-    return np.column_stack(scheme._pair_of(arr[:, 0], arr[:, 1], geometry.d))
+    return scaled_rows(scheme._pair_of, as_rows(clarke_rows, 2).T, geometry.d, scheme._power)
 
 
 def clarke_from_legacy_rows(
@@ -238,8 +222,7 @@ def clarke_from_legacy_rows(
 ) -> np.ndarray:
     """Clarke rows of (p1, p2) rows; bitwise equal to the scalar form clarke_from_legacy."""
     _check_scheme(scheme, geometry)
-    arr = as_rows(pair_rows, 2)
-    return np.column_stack(scheme._clarke_of(arr[:, 0], arr[:, 1], geometry.d))
+    return scaled_rows(scheme._clarke_of, as_rows(pair_rows, 2).T, geometry.d, -scheme._power)
 
 
 def legacy_from_lengths_rows(
@@ -248,14 +231,7 @@ def legacy_from_lengths_rows(
     """(p1, p2) rows of length rows; bitwise equal to the scalar form legacy_from_lengths."""
     _check_scheme(scheme, geometry)
     rho = geometry.l - as_rows(length_rows, geometry.n)
-    # the finite rows that reach _FORMULA_SAFE, as in legacy_from_displacements
-    # (the peak of a row with NaN is NaN)
-    peak = np.abs(rho).max(axis=1)
-    large = (peak >= _FORMULA_SAFE) & (peak < math.inf)
-    rho[large] *= 0.25
-    pairs = np.column_stack(_pair_from_displacements(scheme, rho.T, geometry.d))
-    pairs[large] *= 4.0
-    return pairs
+    return scaled_rows(partial(_pair_from_displacements, scheme), rho.T, geometry.d, scheme._power)
 
 
 def clarke_from_lengths_rows(geometry: RobotGeometry, length_rows) -> np.ndarray:

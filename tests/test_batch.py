@@ -5,6 +5,7 @@ each row, so the comparisons below use assert_array_equal, never a tolerance.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from clarke_kinematics import (
     legacy_from_lengths_rows,
     sample,
 )
-from clarke_kinematics import kinematics
+from clarke_kinematics import joint_space, kinematics
 from clarke_kinematics.kinematics import _SERIES_CUTOFF
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -221,3 +222,107 @@ def test_clarke_from_lengths_rows(geometry, data):
     lengths = np.array(data.draw(table(geometry.n)))
     np.testing.assert_array_equal(clarke_from_lengths_rows(geometry, lengths),
                                   [clarke_from_lengths(geometry, row) for row in lengths])
+
+
+BIG = 1.7976931348623157e308
+ROW_FORMS = {
+    # name: (call, rows that overflow or hold inf or NaN)
+    "forward_transform_rows": (lambda rows: forward_transform_rows(GEOMETRY3, rows),
+                               [[BIG, -BIG, -BIG], [math.inf, 0.0, 0.0], [math.nan, 1.0, 2.0]]),
+    "inverse_transform_rows": (lambda rows: inverse_transform_rows(RobotGeometry(n=8, d=0.01, l=0.1),
+                                                                   rows),
+                               [[BIG, BIG], [math.inf, 0.0], [0.0, math.nan]]),
+    "contains_rows": (lambda rows: contains_rows(GEOMETRY3, rows),
+                      [[BIG, -BIG, -BIG], [math.inf, 0.0, 0.0], [math.nan, 1.0, 2.0]]),
+    "clarke_from_lengths_rows": (lambda rows: clarke_from_lengths_rows(GEOMETRY3, rows),
+                                 [[-BIG, BIG, BIG], [math.inf, 0.0, 0.0], [math.nan, 1.0, 2.0]]),
+    "legacy_from_clarke_rows": (
+        lambda rows: legacy_from_clarke_rows(LegacyScheme.ALLEN4, RobotGeometry(n=4, d=1e-300, l=0.1),
+                                             rows),
+        [[1e308, -1e308], [math.inf, 0.0], [0.0, math.nan]]),
+    "clarke_from_legacy_rows": (
+        lambda rows: clarke_from_legacy_rows(LegacyScheme.ALLEN4, RobotGeometry(n=4, d=1e300, l=0.1),
+                                             rows),
+        [[1e308, -1e308], [math.inf, 0.0], [0.0, math.nan]]),
+    "legacy_from_lengths_rows": (
+        lambda rows: legacy_from_lengths_rows(LegacyScheme.ALLEN3, RobotGeometry(n=3, d=1e-300, l=0.1),
+                                              rows),
+        [[-1e308, 1e308, 0.0], [math.inf, 0.0, 0.0], [math.nan, 1.0, 2.0]]),
+    "forward_kinematics_rows": (lambda rows: forward_kinematics_rows(GEOMETRY3, rows),
+                                [[1e308, -1e308], [math.inf, 0.0], [0.0, math.nan]]),
+}
+GEOMETRY3 = RobotGeometry(n=3, d=0.01, l=0.1)
+
+
+@pytest.mark.parametrize("form", ROW_FORMS)
+def test_row_forms_give_non_finite_rows_without_a_warning(form):
+    """A row that overflows, or holds inf or NaN, comes out non-finite (contains_rows:
+    False) beside a finite row, in the joint space for n = 3, and numpy warns of nothing."""
+    call, rows = ROW_FORMS[form]
+    finite = [0.002, -0.001, -0.001][:len(rows[0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = np.asarray(call([*rows, finite]))
+    if out.dtype == bool:
+        assert out.tolist() == [False] * len(rows) + [True]
+    else:
+        assert not np.isfinite(out[:-1]).all(axis=1).any() and np.isfinite(out[-1]).all()
+
+
+RANGE_ENDS = [1e-300, 1e-10, 1.0, 1e300, 1.7976931348623157e308]
+
+
+def _scalar_rows(call, rows):
+    """call on each row, with a NaN row where it raises ValueError."""
+    out = []
+    for row in rows:
+        try:
+            out.append(list(call(row)))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+def _assert_rows_equal_scalars(got, scalar):
+    """Bitwise equal where the scalar form returns; not finite where it raises."""
+    for row, want in zip(got, scalar):
+        if want is None:
+            assert not np.isfinite(row).all(), row
+        else:
+            np.testing.assert_array_equal(row, want)
+
+
+@pytest.mark.parametrize("d", RANGE_ENDS)
+@pytest.mark.parametrize("scheme", list(LegacyScheme), ids=lambda s: s.value)
+def test_legacy_rows_at_the_ends_of_the_range(scheme, d):
+    """Values up to 1e308, one decade per row or per entry, in one table."""
+    rng = np.random.default_rng(scheme.n)
+    geometry = RobotGeometry(n=scheme.n, d=d, l=0.1)
+    decades = np.where(rng.random((300, 1)) < 0.5, rng.uniform(-300, 308, (300, 1)),
+                       rng.uniform(-300, 308, (300, scheme.n)))
+    values = rng.choice([-1.0, 1.0], (300, scheme.n)) * 10.0**decades
+    pairs, rho = values[:, :2], values
+    _assert_rows_equal_scalars(legacy_from_clarke_rows(scheme, geometry, pairs),
+                               _scalar_rows(lambda r: legacy_from_clarke(scheme, geometry, r)[1:],
+                                            pairs))
+    _assert_rows_equal_scalars(clarke_from_legacy_rows(scheme, geometry, pairs),
+                               _scalar_rows(lambda r: clarke_from_legacy(scheme, geometry, r),
+                                            pairs))
+    lengths = geometry.l - rho
+    _assert_rows_equal_scalars(legacy_from_lengths_rows(scheme, geometry, lengths),
+                               _scalar_rows(lambda r: legacy_from_lengths(scheme, geometry, r)[1:],
+                                            lengths))
+
+
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_sample_maps_its_draws_in_blocks(n):
+    """A count over several blocks, with a last block of one row past a multiple
+    of the block: bitwise equal to the product over the whole table."""
+    geometry = RobotGeometry(n=n, d=0.01, l=0.1)
+    count = 3 * joint_space._SAMPLE_BLOCK + 1
+    rng = np.random.default_rng(11)
+    radius = geometry.d * 2.5 * np.sqrt(rng.random(count))
+    angle = 2.0 * np.pi * rng.random(count)
+    clarke = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    np.testing.assert_array_equal(sample(geometry, 2.5, count, seed=11),
+                                  clarke @ geometry.clarke.right_inverse.T)

@@ -11,6 +11,7 @@ import pytest
 from clarke_kinematics import (
     LegacyScheme,
     RobotGeometry,
+    clarke_from_legacy,
     clarke_from_lengths,
     cli,
     inverse_transform_rows,
@@ -218,6 +219,25 @@ class TestConvert:
                         for row in lengths])
         scale = np.abs(via).max(axis=1, keepdims=True)
         assert (np.abs(rows - via) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("source", ["clarke", "legacy"])
+    def test_allen4_at_d_1e300_gives_the_clarke_routes_pair(self, tmp_path, source):
+        """Rows where 2 * rho_re or the pair times d overflows before d brings it back."""
+        geometry = RobotGeometry(n=4, d=1e300, l=0.1)
+        clarke = [(1e308, 0.0), (-1.5e308, 1.5e308), (3e-3, -4e-3)]
+        pairs = [legacy_from_clarke(LegacyScheme.ALLEN4, geometry, row)[1:] for row in clarke]
+        rows, names, want = ((clarke, ["rho_re", "rho_im"], pairs) if source == "clarke" else
+                             (pairs, ["u", "v"], [clarke_from_legacy(LegacyScheme.ALLEN4, geometry, p)
+                                                  for p in pairs]))
+        geom = write_geometry(tmp_path / "g.json", d=1e300)
+        inp = write_csv(tmp_path / "in.csv", names, rows)
+        out = tmp_path / "out.csv"
+        assert main(["convert", "--geometry", geom, "--scheme", "allen4", "--from", source,
+                     "--input", inp, "--output", str(out)]) == 0
+        np.testing.assert_array_equal(read_csv(out)[1], want)
+        assert pairs[0] == (0.0, 2e8)
+        if source == "legacy":
+            np.testing.assert_allclose(want, clarke, rtol=2**-52, atol=0.0)
 
     def test_scheme_geometry_mismatch_exits_2(self, tmp_path):
         geom = write_geometry(tmp_path / "g.json", n=4)

@@ -96,6 +96,16 @@ class TestArcFromClarke:
         with pytest.raises(ValueError, match=re.escape(message)):
             arc_from_clarke(geometry4, clarke)
 
+    def test_phi_is_the_one_forward_kinematics_evaluates(self):
+        """phi = hypot(re / d, im / d), which stays finite where hypot(re, im) overflows."""
+        rng = np.random.default_rng(31)
+        for d in (0.01, 1.3, 1e300):
+            geometry = RobotGeometry(n=4, d=d, l=0.1)
+            for re, im in rng.normal(size=(200, 2)) * d * 10.0 ** rng.uniform(-8, 1, (200, 1)):
+                assert arc_from_clarke(geometry, (re, im)).phi == math.hypot(re / d, im / d)
+        arc = arc_from_clarke(RobotGeometry(n=4, d=1e300, l=0.1), (1.5e308, 1.5e308))
+        assert arc.phi == 2.1213203435596424e8
+
     def test_rejects_overflowing_curvature(self):
         # phi = 1e10 is finite, kappa = phi / l is not
         with pytest.raises(ValueError, match=re.escape("phi 10000000000.0, kappa inf")):
@@ -125,6 +135,11 @@ class TestClarkeFromArc:
         message = f"arc (theta {arc.theta}, phi {arc.phi}) gives non-finite Clarke coordinates"
         with pytest.raises(ValueError, match=re.escape(message)):
             clarke_from_arc(geometry4, arc)
+
+    def test_answers_where_d_phi_overflows_but_the_coordinates_do_not(self):
+        clarke = clarke_from_arc(RobotGeometry(n=4, d=1e300, l=0.1),
+                                 ArcParams(theta=math.pi / 3, phi=2e8))
+        np.testing.assert_allclose(clarke, [1e308, math.sqrt(3.0) * 1e308], rtol=4e-16)
 
     def test_rejects_overflow(self):
         # d * phi overflows although both are finite

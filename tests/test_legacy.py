@@ -12,11 +12,13 @@ from clarke_kinematics import (
     RobotGeometry,
     SchemeMismatchError,
     clarke_from_legacy,
+    clarke_from_legacy_rows,
     clarke_from_lengths,
     displacements_to_lengths,
     forward_transform,
     inverse_transform,
     legacy_from_clarke,
+    legacy_from_clarke_rows,
     legacy_from_displacements,
     legacy_from_lengths,
     legacy_from_lengths_rows,
@@ -127,6 +129,20 @@ class TestFromClarke:
         message = f"Clarke coordinates ({clarke[0]}, {clarke[1]}) give non-finite {scheme.value}"
         with pytest.raises(ValueError, match=re.escape(message)):
             legacy_from_clarke(scheme, geometry_for(scheme), clarke)
+
+
+def test_allen4_answers_at_d_1e300_where_2_re_and_p2_d_overflow():
+    """2 * rho_re and p2 * d overflow before d brings them back, but the maps
+    scale the inputs and d first, and so give the finite results, as do the row forms."""
+    geometry = RobotGeometry(n=4, d=1e300, l=0.1)
+    pair = legacy_from_clarke(LegacyScheme.ALLEN4, geometry, (1e308, 0.0))
+    assert pair[1:] == (0.0, 2e8) and math.copysign(1.0, pair.p1) == -1.0
+    clarke = clarke_from_legacy(LegacyScheme.ALLEN4, geometry, (0.0, 2e8))
+    assert clarke == (1e308, 0.0) and math.copysign(1.0, clarke.rho_im) == -1.0
+    np.testing.assert_array_equal(
+        legacy_from_clarke_rows(LegacyScheme.ALLEN4, geometry, [[1e308, 0.0]]), [pair[1:]])
+    np.testing.assert_array_equal(
+        clarke_from_legacy_rows(LegacyScheme.ALLEN4, geometry, [[0.0, 2e8]]), [clarke])
 
 
 class TestToClarke:
