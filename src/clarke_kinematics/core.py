@@ -307,18 +307,19 @@ def scaled_rows(form, columns, d: float, power: int) -> np.ndarray:
 def _rescaled(form, values, peak, d: float, power: int):
     """form(values, d) at power-of-two scales of values and d; peak is max|value|.
 
-    A power of two changes no bit of a value that stays normal.  For power -1,
-    values and d are divided by 8 where d reaches _SCALE_SAFE and by 2**-53
-    where d is subnormal, which leaves the form's value as it is.  Values that
-    then reach _SCALE_SAFE are quartered (for power 1, d is, where peak * d
-    reaches it), and the form's value is multiplied by 4 last.
+    A power of two changes no bit of a value that stays normal.  Values that
+    reach _SCALE_SAFE are quartered.  For power -1, d is divided by 8 where it
+    reaches _SCALE_SAFE and by 2**-53 where it is subnormal (where a nonzero
+    value of the form is at least 2**-52); for power 1, d is quartered where
+    peak * d reaches _SCALE_SAFE.  The one power of two that undoes both is
+    applied to the form's value last.
     """
     if power > 0:
         four = 1.0 + 3.0 * (peak * d >= _SCALE_SAFE)
         return [p * four for p in form(values, d / four)]
+    four = 1.0 + 3.0 * (peak >= _SCALE_SAFE)
     shift = 1.0 if power == 0 or _DBL_MIN <= d < _SCALE_SAFE else 8.0 if d > 1.0 else 2.0**-53
-    four = 1.0 + 3.0 * (peak / shift >= _SCALE_SAFE)
-    return [p * four for p in form([x / (shift * four) for x in values], d / shift)]
+    return [p * (four / shift) for p in form([x / four for x in values], d / shift)]
 
 
 def forward_transform_rows(geometry: RobotGeometry, rho_rows) -> np.ndarray:

@@ -240,6 +240,7 @@ def test_forward_kinematics_is_within_its_bounds(n):
 # result within its bound or raises ValueError, and raises only where that
 # result is not a normal double.
 RANGE_ENDS = [1e-300, 1e-10, 1.0, 1e300, 1.7976931348623157e308]
+SUBNORMAL_D = [1e-310, 5e-324]  # where d itself is scaled, and sqrt(3) * d is not exact
 RANGE_BOUNDS = {"legacy_from_displacements": 8, "clarke_from_arc": 4, "phi and kappa": 4}
 DBL_MAX = mpmath.mpf(1.7976931348623157e308)
 DBL_MIN = mpmath.mpf(2) ** -1022
@@ -286,7 +287,7 @@ def _published(scheme, r, d):
     return [(r[3] - r[1]) / d, (r[0] - r[2]) / d]
 
 
-@pytest.mark.parametrize("d", RANGE_ENDS)
+@pytest.mark.parametrize("d", RANGE_ENDS + SUBNORMAL_D)
 @pytest.mark.parametrize("scheme", list(LegacyScheme), ids=lambda s: s.value)
 def test_legacy_maps_at_the_ends_of_the_range(scheme, d):
     """legacy_from_clarke, clarke_from_legacy and the published formulas.
@@ -334,7 +335,7 @@ def _phi_kappa(arc):
     return [arc.phi, arc.kappa]
 
 
-@pytest.mark.parametrize("d", RANGE_ENDS)
+@pytest.mark.parametrize("d", RANGE_ENDS + SUBNORMAL_D)
 def test_arc_maps_at_the_ends_of_the_range(d):
     """arc_from_clarke's phi, kappa and theta, and clarke_from_arc within
     4 * 2**-52 * d * phi, for Clarke coordinates and bends up to 1e308."""
