@@ -127,7 +127,7 @@ def legacy_from_clarke(
     """
     _check_scheme(scheme, geometry)
     clarke = as_pair(clarke, "Clarke coordinates")
-    p1, p2 = scheme._pair_of(clarke, geometry.d)
+    p1, p2 = scheme._pair_of(clarke, geometry.d)  # scaled_form's test, without a call's cost
     if not (math.isfinite(p1) and math.isfinite(p2) and _DBL_MIN <= geometry.d < _SCALE_SAFE):
         p1, p2 = scaled_form(scheme._pair_of, clarke, geometry.d, scheme._power)
         if not (math.isfinite(p1) and math.isfinite(p2)):

@@ -248,7 +248,7 @@ DBL_MIN = mpmath.mpf(2) ** -1022
 
 def _up_to_1e308(rng, size):
     """Signed values 10**u, u uniform on [-300, 308], per entry or one u for all;
-    for a quarter of the draws u is on [307, log10(DBL_MAX)], where 2 * value overflows."""
+    for a quarter of the draws u is on [307, log10(DBL_MAX)], where 2 * value may overflow."""
     low, high = (307.0, math.log10(1.7976931348623157e308)) if rng.random() < 0.25 else (-300, 308)
     u = rng.uniform(low, high, size) if rng.random() < 0.5 else rng.uniform(low, high)
     return rng.choice([-1.0, 1.0], size) * 10.0 ** u

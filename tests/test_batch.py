@@ -225,6 +225,7 @@ def test_clarke_from_lengths_rows(geometry, data):
 
 
 BIG = 1.7976931348623157e308
+GEOMETRY3 = RobotGeometry(n=3, d=0.01, l=0.1)
 ROW_FORMS = {
     # name: (call, rows that overflow or hold inf or NaN)
     "forward_transform_rows": (lambda rows: forward_transform_rows(GEOMETRY3, rows),
@@ -251,7 +252,6 @@ ROW_FORMS = {
     "forward_kinematics_rows": (lambda rows: forward_kinematics_rows(GEOMETRY3, rows),
                                 [[1e308, -1e308], [math.inf, 0.0], [0.0, math.nan]]),
 }
-GEOMETRY3 = RobotGeometry(n=3, d=0.01, l=0.1)
 
 
 @pytest.mark.parametrize("form", ROW_FORMS)
@@ -273,7 +273,7 @@ RANGE_ENDS = [1e-300, 1e-10, 1.0, 1e300, 1.7976931348623157e308]
 
 
 def _scalar_rows(call, rows):
-    """call on each row, with a NaN row where it raises ValueError."""
+    """call on each row, with None where it raises ValueError."""
     out = []
     for row in rows:
         try:
@@ -292,14 +292,17 @@ def _assert_rows_equal_scalars(got, scalar):
             np.testing.assert_array_equal(row, want)
 
 
-@pytest.mark.parametrize("d", RANGE_ENDS)
+@pytest.mark.parametrize("d", RANGE_ENDS + [1e-310, 5e-324])
 @pytest.mark.parametrize("scheme", list(LegacyScheme), ids=lambda s: s.value)
 def test_legacy_rows_at_the_ends_of_the_range(scheme, d):
-    """Values up to 1e308, one decade per row or per entry, in one table."""
+    """Values up to the largest double, one decade per row or per entry, in one
+    table; a quarter of the rows in the top decade, where 2 * value may overflow."""
     rng = np.random.default_rng(scheme.n)
     geometry = RobotGeometry(n=scheme.n, d=d, l=0.1)
-    decades = np.where(rng.random((300, 1)) < 0.5, rng.uniform(-300, 308, (300, 1)),
-                       rng.uniform(-300, 308, (300, scheme.n)))
+    low = np.where(rng.random((300, 1)) < 0.25, 307.0, -300.0)
+    high = np.where(low > 0, math.log10(BIG), 308.0)
+    decades = np.where(rng.random((300, 1)) < 0.5, rng.uniform(low, high, (300, 1)),
+                       rng.uniform(low, high, (300, scheme.n)))
     values = rng.choice([-1.0, 1.0], (300, scheme.n)) * 10.0**decades
     pairs, rho = values[:, :2], values
     _assert_rows_equal_scalars(legacy_from_clarke_rows(scheme, geometry, pairs),
@@ -316,8 +319,8 @@ def test_legacy_rows_at_the_ends_of_the_range(scheme, d):
 
 @pytest.mark.parametrize("n", [3, 4, 12])
 def test_sample_maps_its_draws_in_blocks(n):
-    """A count over several blocks, with a last block of one row past a multiple
-    of the block: bitwise equal to the product over the whole table."""
+    """A count one row past a multiple of the block, in three blocks: bitwise equal
+    to the product over the whole table (a one-row block would round apart)."""
     geometry = RobotGeometry(n=n, d=0.01, l=0.1)
     count = 3 * joint_space._SAMPLE_BLOCK + 1
     rng = np.random.default_rng(11)
