@@ -87,13 +87,11 @@ def load_geometry(path: str) -> RobotGeometry:
 # block's temporaries (about 200 bytes a cell) stay near 2 MB however long the file is.
 _CHUNK_CELLS = 8192
 
-# A block of plain bytes, which hold only number bytes, separators and the
-# whitespace around them, is parsed by numpy's C text parser for long doubles
-# (the C library's strtold), which costs about half what float() or
+# A canonical block (_plain_rows) is parsed by numpy's C text parser for long
+# doubles (the C library's strtold), which costs about half what float() or
 # np.loadtxt costs per 17-digit cell.  Everything _write_table and `sample`
-# write is plain.
+# write is canonical.
 _NUMBER = b"0123456789+-.eE"
-_PLAIN_SEPARATORS = b", \t\r\n"
 _LINE_ENDS = (b"\n", b"\r\n", b"\r")
 _DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 # Bytes per read: numpy's per-call overhead is small beside a block this size,
@@ -108,7 +106,7 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
     so a pipe reads as a regular file does, and memory holds the table and
     one block.  A UTF-8 byte order mark is dropped.  Blank lines are skipped
     and not counted: messages number the data rows from 1, as _write_table
-    does.  Every cell reads as float() reads it: a plain block through
+    does.  Every cell reads as float() reads it: a canonical block through
     _plain_rows, any other one cell by cell.  After the first bad row the
     rest of the file is only decoded, so a file that is not UTF-8 exits 2
     even where an earlier row is bad.
@@ -144,15 +142,16 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
 
 
 def _blocks(raw) -> Iterator[bytes]:
-    """The bytes of raw in blocks of about _READ_BYTES, each cut after a CR or LF.
+    """The bytes of raw in blocks of about _READ_BYTES, each cut after a line end.
 
-    The last block, maybe empty, holds the bytes after the last CR or LF.  A
-    CRLF pair split between two blocks gives an empty line, which is skipped.
+    The cut follows the chunk's last LF or, in a chunk without one, its last
+    CR but the final byte, so no CRLF pair is split.  The last block, maybe
+    empty, holds the bytes after the last cut.
     """
     pending = bytearray()
     while chunk := raw.read(_READ_BYTES):
         pending += chunk
-        end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        end = (chunk.rfind(b"\n") + 1) or (chunk.rfind(b"\r", 0, -1) + 1)
         if end:
             cut = len(pending) - len(chunk) + end
             yield bytes(pending[:cut])
@@ -161,10 +160,10 @@ def _blocks(raw) -> Iterator[bytes]:
 
 
 def _body(path: str, expected_header: list[str], text: str) -> str:
-    """The text of the first block after its header line, which must be the expected one."""
+    """The first block's text after its header line and line end; the header must be as expected."""
     if not text:
         raise CliError(EXIT_USAGE, f"{path} is empty, expected a header row")
-    line = text.splitlines()[0]
+    line = text.splitlines(keepends=True)[0]  # strip() drops the end from the last cell
     header, want = ",".join(c.strip() for c in line.split(",")), ",".join(expected_header)
     if header != want:
         raise CliError(EXIT_USAGE, f"{path}: expected columns {want}, found {header}")
@@ -204,15 +203,13 @@ def _parse_rows(values: array, path: str, header: list[str], data: bytes) -> Non
 
 
 def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
-    """The cells of a plain block's rows as float() reads them, or None.
+    """The cells of a canonical block's rows as float() reads them, or None.
 
-    None unless every byte is a number byte, a separator or whitespace next
-    to one, every line holds k cells, no cell is empty and every cell reads
-    as a finite float.  A block whose lines all end alike (LF, CRLF or CR)
-    and hold no other whitespace is parsed as it is; in any other, line ends
-    become LF and blank lines and the spaces and tabs around cells are
-    dropped first, so that no whitespace reaches the parser (which reads a
-    blank cell as 0).  The block, its line ends made commas, is parsed as
+    A block is canonical when its bytes, number bytes aside, are k - 1 commas
+    and the first line's end (LF, CRLF or CR) on every line, so that no
+    whitespace reaches the parser, which reads a blank cell as 0.  None
+    unless the block is canonical, no cell is empty and every cell reads as
+    a finite float.  The block, its line ends made commas, is parsed as
     long doubles, each cast to a double.  That second rounding differs from
     float()'s one only where the long double lies exactly halfway between
     two doubles: such cells are read again by float().  So are subnormal
@@ -224,17 +221,7 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
     eol = first_end if first_end == b"\r\n" else first_end[:1]
     row = b"," * (k - 1) + eol
     if eol not in _LINE_ENDS or seps != row * (len(seps) // len(row)):
-        if seps.translate(None, _PLAIN_SEPARATORS):
-            return None
-        data = _normalized(data, seps)
-        if data is None:
-            return None
-        if not data:
-            return np.empty(0)
-        seps = data.translate(None, _NUMBER)
-        eol, row = b"\n", b"," * (k - 1) + b"\n"
-        if seps != row * (len(seps) // k):
-            return None
+        return None
     text = data.replace(eol, b",")
     with warnings.catch_warnings():
         # unmatched data (an empty cell, say) raises ValueError from numpy 2,
@@ -262,29 +249,6 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
         for i in np.flatnonzero(again).tolist():
             rows[i] = float(cells[i])
     return rows
-
-
-def _normalized(data: bytes, seps: bytes) -> bytes | None:
-    """A plain block's lines, each ended by LF, without blank lines or padding around cells.
-
-    seps holds the block's bytes that are not number bytes.  None where a
-    space or tab lies inside a cell, between two number bytes.
-    """
-    if b"\r" in seps:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if b" " in seps or b"\t" in seps:
-        buf = np.frombuffer(b"\n" + data + b"\n", dtype=np.uint8)
-        pads = np.flatnonzero((buf == ord(" ")) | (buf == ord("\t")))
-        before = buf[pads[np.diff(pads, prepend=-1) != 1] - 1]  # the byte before each run of pads
-        after = buf[pads[np.diff(pads, append=len(buf)) != 1] + 1]
-        comma, lf = ord(","), ord("\n")
-        if ((before != comma) & (before != lf) & (after != comma) & (after != lf)).any():
-            return None
-        data = data.translate(None, b" \t")
-    while b"\n\n" in data:
-        data = data.replace(b"\n\n", b"\n")
-    data = data.strip(b"\n")
-    return data + b"\n" if data else data
 
 
 def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None) -> None:

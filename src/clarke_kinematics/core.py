@@ -128,7 +128,9 @@ class RobotGeometry:
     psi: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+        # numpy scalars as Python numbers, so that the scalar maps compute in Python floats
+        vars(self).update({k: v.item() for k, v in vars(self).items() if isinstance(v, np.generic)})
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise GeometryError(f"joint count must be an integer, got {self.n!r}")
         if self.n < 3:
             raise GeometryError(f"at least 3 joints required, got n={self.n}")

@@ -107,9 +107,10 @@ class ArcParams:
     kappa: float | None = None
 
     def __post_init__(self) -> None:
+        vars(self).update({k: v.item() for k, v in vars(self).items() if isinstance(v, np.generic)})
         if not self.phi >= 0.0:
             raise ValueError(f"bending angle must be non-negative, got {self.phi}")
-        theta = math.remainder(float(finite_real(self.theta, "bending-plane angle theta")), _TAU)
+        theta = math.remainder(finite_real(self.theta, "bending-plane angle theta"), _TAU)
         if theta <= -math.pi:
             theta += _TAU
         object.__setattr__(self, "theta", theta)
@@ -179,6 +180,7 @@ class RegularizationConfig:
     decay: str = "exponential"
 
     def __post_init__(self) -> None:
+        vars(self).update({k: v.item() for k, v in vars(self).items() if isinstance(v, np.generic)})
         positive_finite(self.epsilon, "epsilon")
         finite_real(self.a, "a")
         positive_finite(self.b, "b")
@@ -241,7 +243,7 @@ def clarke_from_arc(geometry: RobotGeometry, arc: ArcParams) -> ClarkeCoords:
     """
     cos, sin = math.cos(arc.theta), math.sin(arc.theta)
     re, im = scaled_form(lambda phi, d: (d * phi[0] * cos, d * phi[0] * sin),
-                         (float(arc.phi),), geometry.d, 1)
+                         (arc.phi,), geometry.d, 1)
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(
             f"arc (theta {arc.theta}, phi {arc.phi}) gives non-finite Clarke coordinates "

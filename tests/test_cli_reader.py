@@ -4,9 +4,9 @@ reference_read_table is the reader as it was before plain blocks streamed
 through numpy's C text reader: one float() per stripped cell over the whole
 text.  Both must accept the same files with the same values, and reject the
 same files with the same exit code and message, at the default block size
-and at 128-byte blocks, whose edges split lines, CRLF pairs and runs of
-plain and other bytes.  cli.main must never raise and must return a
-documented exit code.
+and at 128-byte blocks, whose edges split lines and runs of canonical and
+other bytes.  cli.main must never raise and must return a documented exit
+code.
 """
 
 import contextlib
@@ -191,7 +191,10 @@ def padded(cells):
 
 @st.composite
 def plain_files(draw):
-    """A plain header (BOM or not, padded or not) and a body of plain bytes only."""
+    """A plain header (BOM or not, padded or not), a body of plain bytes only, and whether it is canonical.
+
+    A canonical body holds no space, tab or blank line, and ends every line alike.
+    """
     header = draw(st.sampled_from(["rho_re,rho_im", "rho_1,rho_2,rho_3",
                                    "x,y,z," + ",".join(f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))]))
     k = header.count(",") + 1
@@ -200,9 +203,12 @@ def plain_files(draw):
     any_row = st.lists(padded(st.one_of(GOOD_PLAIN, BAD_PLAIN)), min_size=k - 1, max_size=k + 1)
     lines = draw(st.lists(st.one_of(good_row.map(",".join), good_row.map(",".join), any_row.map(",".join),
                                     st.sampled_from(["", "  ", "\t"])), max_size=8))
-    end = st.sampled_from(["\n", "\r\n", "\r"])
-    text = first + "".join(draw(end) + line for line in lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
-    return header.split(","), text
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    last = draw(st.sampled_from(["", "\n", "\r\n"]))
+    text = first + "".join(end + line for end, line in zip(ends, lines)) + last
+    no_pads = all(line and not set(line) & {" ", "\t"} for line in lines)
+    canonical = bool(last) and set(ends[1:]) <= {last} and no_pads
+    return header.split(","), text, canonical
 
 
 def _strict_outcome(read, *args):
@@ -226,24 +232,24 @@ def _assert_reads_as_reference(path, header):
 @settings(max_examples=300, deadline=None)
 @given(plain_files(), st.sampled_from(READ_BYTES))
 def test_plain_files_match_reference(tmp_path_factory, case, read_bytes):
-    header, text = case
+    header, text, canonical = case
     path = tmp_path_factory.mktemp("plain") / "in.csv"
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(cli, "_READ_BYTES", read_bytes):
         error, fast = _assert_reads_as_reference(path, header)
-    if error is None and any(map(str.strip, text.splitlines()[1:])):
-        assert fast  # data: the C reader took a block
+    if error is None and canonical and any(map(str.strip, text.splitlines()[1:])):
+        assert fast  # canonical data: the C reader took a block
 
 
 @pytest.mark.parametrize("text,fast", [
-    ("\ufeffrho_re,rho_im\r\n1,2\r\n\r\n-0,5e-324\r\n", True),
+    ("\ufeffrho_re,rho_im\r\n1,2\r\n\r\n-0,5e-324\r\n", False),  # a blank line: read cell by cell
     ("rho_re , rho_im\r1,2\r3,4", True),
     ("rho_re,rho_im\n1e999,0\n", True),  # the C reader gives inf, float() names it: exit 3
-    ("rho_re,rho_im\n1,2\n \n", True),  # a whitespace-only line
-    ("rho_re,rho_im\r\n\t\r\n 1, 2\r\n\r\n3 ,4\t\r\n", True),
+    ("rho_re,rho_im\n1,2\n \n", False),  # a whitespace-only line
+    ("rho_re,rho_im\r\n\t\r\n 1, 2\r\n\r\n3 ,4\t\r\n", False),  # padded cells
     ("rho_re,rho_im\r\n1,2\r\n3,4\r\n", True),  # every line ends alike: parsed as it is
     ("rho_re,rho_im\r1,2\r3,4\r", True),
-    ("rho_re,rho_im\n1,2\r\n3,4\r5,6\n", True),
+    ("rho_re,rho_im\n1,2\r\n3,4\r5,6\n", False),  # mixed line ends
     ("rho_re,rho_im\n1 2,3\n", False),  # a space inside a cell: float() names it
     ("rho_re,rho_im\n1,2\n3\n", False),  # a row with the wrong cell count
     ("rho_re,rho_im\n1,\x0c2\n", False),  # a line break to splitlines()
@@ -352,9 +358,13 @@ def test_decimal_cells_read_as_reference(tmp_path_factory, cells):
     assert fast and (error is None or error[0] == cli.EXIT_PARSE)
 
 
-@pytest.mark.parametrize("line", ["1, ,2", "1,\t,2", "1,\t,2\r"])
-def test_blank_cell_is_named(workdir, line):
-    """numpy's parser reads a blank cell as 0 ("0, ,0" gives three zeros): it must never see one."""
+@pytest.mark.parametrize("line,parsed", [("1, ,2", False), ("1,\t,2", False), ("1,\t,2\r", False),
+                                         ("1,,2", True)])
+def test_blank_cell_is_named(workdir, line, parsed):
+    """numpy's parser reads a blank cell as 0 ("0, ,0" gives three zeros): it must never see one.
+
+    An empty cell reaches it, which refuses it, so float() names it too.
+    """
     path = workdir / "blank.csv"
     path.write_bytes(f"rho_1,rho_2,rho_3\n{line}\n".encode())
     argv = ["transform", "--direction", "forward", "--geometry", str(workdir / "g3.json"),
@@ -362,13 +372,48 @@ def test_blank_cell_is_named(workdir, line):
     with mock.patch.object(np, "fromstring", wraps=np.fromstring) as fromstring:
         code, stderr, _ = _main(argv)
     assert (code, stderr) == (cli.EXIT_PARSE, f"error: {path}: row 1, column rho_2: cannot parse ''\n")
-    assert fromstring.called
+    assert fromstring.called == parsed
+
+
+@pytest.mark.parametrize("read_bytes", READ_BYTES)
+def test_blocks_never_split_a_crlf_pair(read_bytes):
+    """No block ends in the CR of a CRLF pair, even where a read ends there.
+
+    The lines take 5 bytes, so one of five shifts puts a read's end between
+    CR and LF; the last case has a CR with no LF before it in the read.
+    """
+    lines = b"1,2\r\n" * (read_bytes // 2)
+    for data in [b"h" * shift + lines for shift in range(5)] + [b"a" * (read_bytes - 1) + b"\r\n" + lines]:
+        with mock.patch.object(cli, "_READ_BYTES", read_bytes):
+            blocks = list(cli._blocks(io.BytesIO(data)))
+        assert b"".join(blocks) == data
+        assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(blocks, blocks[1:]))
+
+
+@pytest.mark.parametrize("read_bytes", READ_BYTES)
+@pytest.mark.parametrize("bom", ["", "\ufeff"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_canonical_files_are_read_in_c_only(tmp_path, eol, bom, read_bytes):
+    """Every data block of a canonical file, the first included, is parsed by np.fromstring.
+
+    A canonical block's text reaches it with every cell followed by a comma.
+    """
+    header = ["rho_1", "rho_2", "rho_3"]
+    table = np.random.default_rng(18).normal(scale=0.01, size=(2000, 3))
+    path = tmp_path / "in.csv"
+    cli._write_table(str(path), header, table)
+    path.write_bytes(bom.encode() + path.read_bytes().replace(b"\n", eol.encode()))
+    with mock.patch.object(cli, "_READ_BYTES", read_bytes), \
+            mock.patch.object(np, "fromstring", wraps=np.fromstring) as fromstring:
+        got = cli._read_table(str(path), header)
+    assert got.tobytes() == table.tobytes()
+    assert sum(call.args[0].count(b",") for call in fromstring.call_args_list) == table.size
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
 @pytest.mark.parametrize("text", [
-    "rho_re,rho_im\n1,2\n-0,5e-324\n",  # plain
-    "\ufeffrho_re,rho_im\r\n1,2\r\n  \r\n3,4\r\n",  # plain bytes, a whitespace-only line
+    "rho_re,rho_im\n1,2\n-0,5e-324\n",  # canonical
+    "\ufeffrho_re,rho_im\r\n1,2\r\n  \r\n3,4\r\n",  # a whitespace-only line: read cell by cell
 ])
 def test_pipe_reads_as_reference(tmp_path, text):
     """A named pipe (say `--input <(zcat rho.csv.gz)`) gives its bytes once.
@@ -402,7 +447,7 @@ def test_pipe_reads_as_reference(tmp_path, text):
 
 @pytest.mark.parametrize("line,row", [
     ("", None),
-    ("  \n", None),  # whitespace only: plain bytes
+    ("  \n", None),  # whitespace only: its block is read cell by cell
     ("1_0" + ",0" * 11 + "\n", 10.0),  # outside the plain alphabet: float() reads it
     ("\xa01\xa0" + ",0" * 11 + "\n", 1.0),  # padded with non-breaking spaces: not ASCII
 ])

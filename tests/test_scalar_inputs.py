@@ -5,20 +5,28 @@ take a stacked matmul. Both run the same BLAS matrix-vector product on each
 vector, and the checks at large n hold them to bitwise equality there too,
 since a BLAS may pick another kernel as n grows. Each scalar call also gives
 the same values and the same errors for a list, a tuple, a float64 array, a
-float32 array and a ClarkeCoords of the same numbers.
+float32 array and a ClarkeCoords of the same numbers.  A geometry, a
+regularization config or an arc built from numpy scalars holds Python
+numbers, so that the maps raise their own errors and return Python floats.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from clarke_kinematics import (
+    ArcParams,
     ClarkeCoords,
     LegacyScheme,
     Pose,
+    RegularizationConfig,
     RobotGeometry,
     SingularityStrategy,
+    arc_from_clarke,
+    clarke_from_arc,
+    clarke_from_legacy,
     contains,
     contains_rows,
     forward_kinematics,
@@ -139,3 +147,55 @@ def test_each_input_type_gives_the_same_values_and_errors(n):
         for scheme in schemes:
             _agree(lambda c: legacy_from_clarke(scheme, geometry, c), forms)
     assert outcomes == {"array", ValueError}
+
+
+G4 = RobotGeometry(n=4, d=0.01, l=0.1)
+ALLEN4 = LegacyScheme.ALLEN4
+ADD_EPSILON = SingularityStrategy.ADD_EPSILON
+
+
+# Each constructor given numpy scalars, maps of what it builds, and how many
+# of them raise their own ValueError; each other one returns Python floats
+# (a finite pose for FK).
+NUMPY_BUILT = {
+    "RobotGeometry": (lambda: RobotGeometry(n=np.int64(4), d=np.float64(0.01), l=np.float64(0.1)), [
+        lambda g: arc_from_clarke(g, (1e307, 0.0)),
+        lambda g: arc_from_clarke(g, (1e-3, 2e-3)),
+        lambda g: legacy_from_clarke(ALLEN4, g, (1e307, 0.0)),
+        lambda g: legacy_from_clarke(ALLEN4, g, (1e-3, 2e-3)),
+        lambda g: clarke_from_legacy(ALLEN4, g, (1e-3, 2e-3)),
+        lambda g: forward_kinematics(g, (1e307, 1e307)),
+        lambda g: forward_kinematics(g, (1e-3, 2e-3)),
+    ], 3),
+    "RegularizationConfig": (lambda: RegularizationConfig(np.float64(1e-11), np.float64(0.0), np.float64(1.0)), [
+        lambda c: forward_kinematics(G4, (1e100, 0.0), ADD_EPSILON, c),
+        lambda c: forward_kinematics(G4, (1e100, 0.0), SingularityStrategy.ADAPTIVE_EPSILON, c),
+        lambda c: forward_kinematics(G4, (0.0, 0.0), ADD_EPSILON, c),
+    ], 0),
+    "ArcParams": (lambda: ArcParams(theta=np.float64(0.5), phi=np.float64(1e300), kappa=np.float64(1e301)), [
+        lambda a: clarke_from_arc(G4, a),
+        lambda a: clarke_from_arc(RobotGeometry(n=4, d=1e10, l=0.1), a),
+    ], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(NUMPY_BUILT))
+def test_numpy_scalar_fields_are_stored_as_python_numbers(name):
+    build, maps, want_errors = NUMPY_BUILT[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        built = build()
+        assert not [v for v in vars(built).values() if isinstance(v, np.generic)]
+        errors = 0
+        for call in maps:
+            try:
+                result = call(built)
+            except ValueError:
+                errors += 1
+                continue
+            if isinstance(result, Pose):
+                assert np.isfinite(result.position).all() and np.isfinite(result.rotation).all()
+            else:
+                values = vars(result).values() if isinstance(result, ArcParams) else result
+                assert all(type(v) is float for v in values if not isinstance(v, LegacyScheme))
+    assert errors == want_errors
