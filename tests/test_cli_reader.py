@@ -363,7 +363,7 @@ def test_decimal_cells_read_as_reference(tmp_path_factory, cells):
 def test_blank_cell_is_named(workdir, line, parsed):
     """numpy's parser reads a blank cell as 0 ("0, ,0" gives three zeros): it must never see one.
 
-    An empty cell reaches it, which refuses it, so float() names it too.
+    An empty cell does reach it, in a canonical block, which it refuses: float() names the cell.
     """
     path = workdir / "blank.csv"
     path.write_bytes(f"rho_1,rho_2,rho_3\n{line}\n".encode())
