@@ -58,21 +58,17 @@ def identity_checks(
 
     # rank 2: exactly two singular values above the threshold
     sv = np.linalg.svd(proj, compute_uv=False)
-    rank_ok = np.count_nonzero(sv > RANK_THRESHOLD) == 2
-    third = float(sv[2]) if n > 2 else 0.0
-    checks.append(IdentityCheck("projector_rank_two", n, third, RANK_THRESHOLD, rank_ok))
+    rank_ok = bool(np.count_nonzero(sv > RANK_THRESHOLD) == 2)
+    checks.append(IdentityCheck("projector_rank_two", n, float(sv[2]), RANK_THRESHOLD, rank_ok))
 
-    # one-hot image: P e_k = (2/n) [cos(psi_i - psi_k)]_i, scaled norm n/2
-    comp_resid = 0.0
-    norm_resid = 0.0
-    for k in range(n):
-        image = proj[:, k]
-        expected = (2.0 / n) * np.cos(geometry.psi - geometry.psi[k])
-        comp_resid = max(comp_resid, float(np.max(np.abs(image - expected))))
-        scaled = (n / 2.0) * image
-        norm_resid = max(norm_resid, abs(float(scaled @ scaled) - n / 2.0))
-    checks.append(_check("one_hot_components", n, comp_resid, tol))
-    checks.append(_check("one_hot_magnitude", n, norm_resid, tol))
+    # one-hot images: P e_k = (2/n) [cos(psi_i - psi_k)]_i, and each column c_k
+    # of (n/2) P has c_k . c_k = n/2; a stacked matmul of contiguous columns
+    # rounds as the 1-D dot c_k @ c_k does, where an einsum or row sum does not
+    expected = (2.0 / n) * np.cos(np.subtract.outer(geometry.psi, geometry.psi))
+    cols = np.ascontiguousarray(((n / 2.0) * proj).T)
+    squares = (cols[:, None, :] @ cols[:, :, None])[:, 0, 0]
+    checks.append(_check("one_hot_components", n, np.max(np.abs(proj - expected)), tol))
+    checks.append(_check("one_hot_magnitude", n, np.max(np.abs(squares - n / 2.0)), tol))
 
     v1, v2 = joint_space.basis(geometry)
     checks.append(_check("basis_orthogonal", n, abs(float(v1 @ v2)), tol))

@@ -379,8 +379,9 @@ def forward_kinematics(
     of an arc of angle phi in the plane rotated by theta about the base
     tangent.  The strategy decides how the phi ~ 0 regime is evaluated;
     avoid-straight raises StraightConfigurationError there.  Every strategy
-    raises ValueError when the bending angle it evaluates is not finite
-    (a NaN coordinate, or one so large that phi overflows).
+    raises ValueError naming the coordinates when the bending angle or a pose
+    term is not finite: for a NaN coordinate, or where phi, u * u (from
+    |clarke / d| = 1.34e154) or, under linearize-near-zero, l * u / 2 overflows.
 
     adaptive-epsilon takes rho^T rho = (n/2) |clarke|^2 for the joint-space
     rho = inverse_transform(clarke) without building rho; its effective
@@ -402,6 +403,9 @@ def forward_kinematics(
         )
 
     terms = _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, _FLOAT_OPS)
+    # |u|, |v| <= phi: below phi = 2**511 only linearize-near-zero's l * u / 2 can overflow
+    if (phi >= 2.0**511 or strategy is _LINEARIZE_NEAR_ZERO) and not all_finite(terms):
+        raise ValueError(f"Clarke coordinates ({re}, {im}) give a non-finite pose")
     return Pose._of_terms(terms)
 
 

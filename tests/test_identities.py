@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from clarke_kinematics import identities, legacy
-from clarke_kinematics.core import ClarkeCoords
+from clarke_kinematics.core import ClarkeCoords, RobotGeometry, projector
 from clarke_kinematics.identities import run_identity_suite
 
 SCHEME_CHECKS = sorted(f"scheme_equivalence_{s.value}" for s in legacy.LegacyScheme)
@@ -65,3 +66,27 @@ def test_an_overflowing_pair_fails_its_identity_without_raising():
     allen = [r for r in results if r.name.startswith("scheme_equivalence_allen")]
     assert _failed(results) == sorted(r.name for r in allen)
     assert [r.residual for r in allen] == [math.inf, math.inf]
+
+
+def _one_hot_residuals(geometry):
+    """The one-hot residuals as a loop over the columns P e_k computes them."""
+    n, proj = geometry.n, projector(geometry)
+    components = magnitude = 0.0
+    for k in range(n):
+        image = proj[:, k]
+        expected = (2.0 / n) * np.cos(geometry.psi - geometry.psi[k])
+        components = max(components, float(np.max(np.abs(image - expected))))
+        scaled = (n / 2.0) * image
+        magnitude = max(magnitude, abs(float(scaled @ scaled) - n / 2.0))
+    return components, magnitude
+
+
+def test_one_hot_residuals_are_the_column_loops_bit_for_bit():
+    """The matrix identities round as the loop does, at every joint count check allows."""
+    results = run_identity_suite(d=0.01, l=0.1, n_max=256)
+    assert all(type(r.passed) is bool for r in results)
+    got = {(r.name, r.n): r.residual for r in results}
+    for n in range(3, 257):
+        components, magnitude = _one_hot_residuals(RobotGeometry(n=n, d=0.01, l=0.1))
+        assert got["one_hot_components", n] == components, n
+        assert got["one_hot_magnitude", n] == magnitude, n

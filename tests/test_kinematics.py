@@ -436,6 +436,34 @@ class TestForwardKinematics:
             forward_kinematics(geometry4, clarke, strategy)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_rejects_a_non_finite_pose_of_a_finite_angle(self, geometry4, strategy):
+        """From |clarke / d| = 1.34e154 on, u * u overflows and a pose term is NaN.
+
+        The row form gives that non-finite row; the scalar form must raise.
+        adaptive-epsilon's angle overflows first, which it names instead.
+        """
+        for clarke in [(1e160, 0.0), (0.0, -1e160), (1e155, 1e155)]:
+            with pytest.raises(ValueError, match=re.escape(f"({clarke[0]}, {clarke[1]})")):
+                forward_kinematics(geometry4, clarke, strategy)
+            row = kinematics.forward_kinematics_rows(geometry4, [clarke], strategy)[0]
+            assert not np.isfinite(row).all()
+        # just below the overflow the pose is finite and equal to its row, bit for bit
+        pose = forward_kinematics(geometry4, (1.34e152, 0.0), strategy)
+        terms = np.concatenate([pose.position, pose.rotation.ravel()])
+        assert np.isfinite(terms).all()
+        row = kinematics.forward_kinematics_rows(geometry4, [(1.34e152, 0.0)], strategy)[0]
+        assert terms.tobytes() == row.tobytes()
+
+    def test_linearize_rejects_an_overflowing_position(self):
+        """linearize-near-zero takes g2 = 1/2 below epsilon, so l * u / 2 can overflow."""
+        geometry = RobotGeometry(n=4, d=1e20, l=1e300)  # epsilon = 1e11 by default
+        strategy = SingularityStrategy.LINEARIZE_NEAR_ZERO
+        with pytest.raises(ValueError, match=re.escape("(1e+30, 0.0) give a non-finite pose")):
+            forward_kinematics(geometry, (1e30, 0.0), strategy)
+        row = kinematics.forward_kinematics_rows(geometry, [(1e30, 0.0)], strategy)[0]
+        assert not np.isfinite(row).all()
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_pose_is_read_only_views_of_one_array(self, geometry4, strategy):
         cfg = RegularizationConfig.default(geometry4)
         rng = np.random.default_rng(909)
