@@ -142,7 +142,7 @@ class RobotGeometry:
         if self.psi is None:
             psi = expected
         else:
-            psi = np.asarray(self.psi, dtype=float)
+            psi = float_array(self.psi, "joint angles", GeometryError)
             if psi.shape != (self.n,):
                 raise NonSymmetricJointsError(
                     f"expected {self.n} joint angles, got shape {psi.shape}"
@@ -197,12 +197,25 @@ def build_clarke_matrix(geometry: RobotGeometry) -> ClarkeMatrix:
     return geometry.clarke
 
 
+def float_array(values, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
+    """values as a float array, else raises error naming them `what`.
+
+    Refuses what numpy cannot convert: an entry that is not a real number
+    (a string, a complex, a dict, a ragged row), or an integer beyond the
+    float range.
+    """
+    try:
+        return np.asarray(values, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise error(f"{what} must be real numbers within the float range ({exc})") from None
+
+
 def as_vector(values, size: int, what: str) -> np.ndarray:
     """Validate and convert a vector of `size` values to a float array.
 
     `what` names the values in the error, e.g. "joint displacements".
     """
-    arr = np.asarray(values, dtype=float)
+    arr = float_array(values, what)
     if arr.shape != (size,):
         raise ValueError(f"expected {size} {what}, got shape {arr.shape}")
     return arr
@@ -224,7 +237,7 @@ def as_pair(values, what: str) -> tuple[float, float]:
 
 def as_rows(rows, width: int) -> np.ndarray:
     """Validate and convert an (N, width) table of rows to a float array."""
-    arr = np.asarray(rows, dtype=float)
+    arr = float_array(rows, f"rows of {width} values")
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"expected rows of {width} values, got shape {arr.shape}")
     return arr

@@ -211,9 +211,13 @@ class RegularizationConfig:
         return 2.0 / (1.0 + math.exp(t))
 
 
-# The default config of each of the last 64 geometries (hashed by identity),
-# built once rather than on every call; the config is frozen, so it is shared.
-_default_config = functools.lru_cache(maxsize=64)(RegularizationConfig.default)
+# RegularizationConfig.default for each of the last 64 offset distances d, the
+# only field of a geometry it reads, built once rather than on every call; the
+# config is frozen, so it is shared.  Keyed by d rather than by the geometry,
+# so that the cache keeps no caller's geometry (nor its cached matrices) alive.
+_default_config = functools.lru_cache(maxsize=64)(
+    lambda d: RegularizationConfig.default(SimpleNamespace(d=d))
+)
 
 
 def arc_from_clarke(geometry: RobotGeometry, clarke) -> ArcParams:
@@ -389,7 +393,7 @@ def forward_kinematics(
     """
     re, im = as_pair(clarke, "Clarke coordinates")
     if config is None:
-        config = _default_config(geometry)
+        config = _default_config(geometry.d)
 
     u, v, phi = _bending(re, im, geometry.d, _FLOAT_OPS)
 
@@ -427,7 +431,7 @@ def forward_kinematics_rows(
     """
     arr = as_rows(clarke_rows, 2)
     if config is None:
-        config = _default_config(geometry)
+        config = _default_config(geometry.d)
     re, im = arr[:, 0], arr[:, 1]
     with np.errstate(all="ignore"):  # a row that overflows comes out non-finite
         u, v, phi = _bending(re, im, geometry.d, _ARRAY_OPS)

@@ -28,8 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _DBL_MIN,
-    _SCALE_SAFE,
     ClarkeCoords,
     RobotGeometry,
     all_finite,
@@ -127,12 +125,10 @@ def legacy_from_clarke(
     """
     _check_scheme(scheme, geometry)
     clarke = as_pair(clarke, "Clarke coordinates")
-    p1, p2 = scheme._pair_of(clarke, geometry.d)  # scaled_form's test, without a call's cost
-    if not (math.isfinite(p1) and math.isfinite(p2) and _DBL_MIN <= geometry.d < _SCALE_SAFE):
-        p1, p2 = scaled_form(scheme._pair_of, clarke, geometry.d, scheme._power)
-        if not (math.isfinite(p1) and math.isfinite(p2)):
-            raise ValueError(f"Clarke coordinates ({clarke[0]}, {clarke[1]}) give non-finite "
-                             f"{scheme.value} parameters ({p1}, {p2})")
+    p1, p2 = scaled_form(scheme._pair_of, clarke, geometry.d, scheme._power)
+    if not (math.isfinite(p1) and math.isfinite(p2)):
+        raise ValueError(f"Clarke coordinates ({clarke[0]}, {clarke[1]}) give non-finite "
+                         f"{scheme.value} parameters ({p1}, {p2})")
     return tuple.__new__(LegacyPair, (scheme, p1, p2))  # LegacyPair(...) without its Python frame
 
 
@@ -141,9 +137,10 @@ def clarke_from_legacy(
 ) -> ClarkeCoords:
     """Convert a scheme's parameter pair back to Clarke coordinates.
 
-    Exact inverse of legacy_from_clarke.  A tagged LegacyPair is checked
-    against the requested scheme; a plain (p1, p2) sequence is trusted.
-    Raises ValueError when the pair is not finite or the result overflows.
+    Exact inverse of legacy_from_clarke.  A tagged LegacyPair must carry the
+    requested scheme; its two values are then read as a plain (p1, p2)
+    sequence is.  Raises ValueError when the pair is not two real numbers, is
+    not finite, or gives a result that overflows.
     """
     _check_scheme(scheme, geometry)
     if isinstance(pair, LegacyPair):
@@ -151,9 +148,8 @@ def clarke_from_legacy(
             raise SchemeMismatchError(
                 f"pair is tagged {pair.scheme.value}, expected {scheme.value}"
             )
-        pair = pair.p1, pair.p2
-    else:
-        pair = as_pair(pair, f"{scheme.value} parameters")
+        pair = pair[1:]
+    pair = as_pair(pair, f"{scheme.value} parameters")
     re, im = scaled_form(scheme._clarke_of, pair, geometry.d, -scheme._power)
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(f"{scheme.value} parameters ({pair[0]}, {pair[1]}) give non-finite "

@@ -425,6 +425,25 @@ class TestCheck:
             assert main(["check", "--geometry", geom, "--n-max", n_max]) == 2
             assert "between 3 and 256" in capsys.readouterr().err
 
+    def test_subnormal_d_fails_the_allen_checks_and_names_the_worst(self, tmp_path, capsys):
+        geom = write_geometry(tmp_path / "g.json", d=5e-324)
+        assert main(["check", "--geometry", geom, "--n-max", "4"]) == 1
+        out, err = capsys.readouterr()
+        failed = [line.split() for line in out.splitlines() if line.endswith("FAIL")]
+        assert [(row[0], row[2]) for row in failed] == [
+            ("scheme_equivalence_allen3", "inf"), ("scheme_equivalence_allen4", "inf")]
+        assert err == ("2 identity check(s) failed; worst: scheme_equivalence_allen3 "
+                       "at n=3, residual inf\n")
+
+    def test_unreadable_or_non_object_geometry_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["check", "--geometry", missing, "--n-max", "4"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read geometry file {missing}: ")
+        array = tmp_path / "array.json"
+        array.write_text("[1, 2]")
+        assert main(["check", "--geometry", str(array), "--n-max", "4"]) == 2
+        assert capsys.readouterr().err == f"error: geometry file {array} must hold a JSON object\n"
+
     def test_corrupted_geometry_rejected(self, tmp_path):
         geom = write_geometry(tmp_path / "g.json", extra={"psi": [0.0, 1.0, 2.0, 3.0]})
         assert main(["check", "--geometry", geom, "--n-max", "4"]) == 2
@@ -529,6 +548,17 @@ class TestEndToEnd:
         _, reproduced = read_csv(back)
         scale = max(1.0, float(np.max(np.abs(original))))
         assert float(np.max(np.abs(reproduced - original))) <= 1e-12 * scale
+
+    def test_missing_or_empty_input_exits_2(self, tmp_path, capsys):
+        geom = write_geometry(tmp_path / "g.json")
+        missing, empty = tmp_path / "missing.csv", tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        for path, message in ((missing, f"cannot read {missing}: [Errno 2] "),
+                              (empty, f"{empty} is empty, expected a header row")):
+            out = tmp_path / "o.csv"
+            assert main(["fk", "--geometry", geom, "--input", str(path), "--output", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+            assert not out.exists()
 
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2

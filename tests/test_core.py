@@ -13,6 +13,7 @@ from clarke_kinematics import (
     RobotGeometry,
     build_clarke_matrix,
     forward_transform,
+    forward_transform_rows,
     generic_clarke_matrix,
     inverse_transform,
     projector,
@@ -154,6 +155,10 @@ class TestForwardTransform:
     def test_length_mismatch(self, geometry4):
         with pytest.raises(ValueError):
             forward_transform(geometry4, [1.0, 2.0, 3.0])
+
+    def test_rows_of_the_wrong_width(self, geometry4):
+        with pytest.raises(ValueError, match=re.escape("expected rows of 4 values, got shape (3, 5)")):
+            forward_transform_rows(geometry4, np.zeros((3, 5)))
 
     @given(
         a=finite_floats,

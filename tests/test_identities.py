@@ -14,6 +14,11 @@ def _failed(results):
     return sorted(r.name for r in results if not r.passed)
 
 
+def test_suite_rejects_n_max_below_3():
+    with pytest.raises(ValueError, match="n_max must be at least 3, got 2"):
+        run_identity_suite(d=0.01, l=0.1, n_max=2)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True])
 def test_suite_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):

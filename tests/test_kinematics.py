@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -177,12 +179,37 @@ class TestRegularizationConfig:
                 RegularizationConfig.default(geometry, epsilon=eps)
 
     def test_default_built_once_per_geometry(self):
-        geometry = RobotGeometry(n=4, d=0.01, l=0.1)
+        # a d no other test uses, so that the shared cache has not seen it
+        geometry = RobotGeometry(n=4, d=0.0271828, l=0.1)
         before = kinematics._default_config.cache_info().misses
         for strategy in ALL_STRATEGIES:
             forward_kinematics(geometry, [1e-3, 0.0], strategy)
             kinematics.forward_kinematics_rows(geometry, [[1e-3, 0.0]], strategy)
         assert kinematics._default_config.cache_info().misses == before + 1
+        # another geometry of the same d shares the config
+        other = RobotGeometry(n=7, d=0.0271828, l=2.0)
+        forward_kinematics(other, [1e-3, 0.0])
+        kinematics.forward_kinematics_rows(other, [[1e-3, 0.0]])
+        assert kinematics._default_config.cache_info().misses == before + 1
+
+    def test_default_cache_keeps_no_geometry_alive(self):
+        refs = []
+        for i in range(8):
+            geometry = RobotGeometry(n=64, d=0.01 * (i + 1), l=0.1)
+            geometry.projection
+            forward_kinematics(geometry, [1e-3, 0.0])
+            kinematics.forward_kinematics_rows(geometry, [[1e-3, 0.0]])
+            refs.append(weakref.ref(geometry))
+        del geometry
+        gc.collect()
+        assert [r() for r in refs] == [None] * 8
+
+    @pytest.mark.parametrize("d", [0.01, 1, 3e-7, 2.5e150, 1e-100])
+    def test_cached_default_is_the_geometrys_default(self, d):
+        geometry = RobotGeometry(n=5, d=d, l=0.1)
+        cached = kinematics._default_config(geometry.d)
+        assert cached == RegularizationConfig.default(geometry)
+        assert [type(v) for v in vars(cached).values()] == [float, float, float, str]
 
     def test_defaults_scale_with_geometry(self, geometry4):
         cfg = RegularizationConfig.default(geometry4)

@@ -173,6 +173,18 @@ class TestToClarke:
         with pytest.raises(SchemeMismatchError):
             clarke_from_legacy(LegacyScheme.DELLA_SANTINA4, geometry4, pair)
 
+    def test_tagged_pair_is_read_as_the_plain_pair(self, geometry4):
+        scheme = LegacyScheme.ALLEN4
+        for values in [(np.float64(1e308), 0.0), (np.float64(0.3), np.float32(0.25)), (1, -2)]:
+            tagged = clarke_from_legacy(scheme, geometry4, LegacyPair(scheme, *values))
+            plain = clarke_from_legacy(scheme, geometry4, values)
+            assert list(map(repr, tagged)) == list(map(repr, plain))
+            assert [type(v) for v in tagged] == [float, float]
+        for values in [("a", 1.0), (1.0, 1j)]:
+            for pair in (values, LegacyPair(scheme, *values)):
+                with pytest.raises(ValueError, match="allen4 parameters must be real numbers"):
+                    clarke_from_legacy(scheme, geometry4, pair)
+
     @pytest.mark.parametrize("pair", [(1.0, 2.0, 3.0), (1.0,), 1.0, [[1.0, 2.0]]])
     def test_rejects_wrong_shape(self, geometry4, pair):
         with pytest.raises(ValueError, match="expected 2 allen4 parameters"):

@@ -8,9 +8,12 @@ the same values and the same errors for a list, a tuple, a float64 array, a
 float32 array and a ClarkeCoords of the same numbers.  A geometry, a
 regularization config or an arc built from numpy scalars holds Python
 numbers, so that the maps raise their own errors and return Python floats.
+An entry that is not a real number, or an integer beyond the float range, is
+refused with a ValueError that names the input, by every map and row form.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +22,8 @@ import pytest
 from clarke_kinematics import (
     ArcParams,
     ClarkeCoords,
+    GeometryError,
+    LegacyPair,
     LegacyScheme,
     Pose,
     RegularizationConfig,
@@ -27,15 +32,26 @@ from clarke_kinematics import (
     arc_from_clarke,
     clarke_from_arc,
     clarke_from_legacy,
+    clarke_from_legacy_rows,
+    clarke_from_lengths,
+    clarke_from_lengths_rows,
     contains,
     contains_rows,
+    displacements_to_lengths,
     forward_kinematics,
+    forward_kinematics_rows,
     forward_transform,
     forward_transform_rows,
     inverse_transform,
     inverse_transform_rows,
     legacy_from_clarke,
+    legacy_from_clarke_rows,
+    legacy_from_displacements,
+    legacy_from_lengths,
+    legacy_from_lengths_rows,
+    project,
     projector,
+    regularized_magnitude,
 )
 
 LARGE_N = [17, 64, 257, 1024]
@@ -199,3 +215,60 @@ def test_numpy_scalar_fields_are_stored_as_python_numbers(name):
                 values = vars(result).values() if isinstance(result, ArcParams) else result
                 assert all(type(v) is float for v in values if not isinstance(v, LegacyScheme))
     assert errors == want_errors
+
+
+# Each map of a vector, a pair or rows, and the name its error gives the input.
+VECTOR_MAPS = {
+    "joint displacements": [
+        lambda v: forward_transform(G4, v), lambda v: contains(G4, v), lambda v: project(G4, v),
+        lambda v: regularized_magnitude(G4, v, RegularizationConfig(1e-11)),
+        lambda v: displacements_to_lengths(G4, v),
+        lambda v: legacy_from_displacements(ALLEN4, G4, v),
+    ],
+    "lengths": [lambda v: legacy_from_lengths(ALLEN4, G4, v), lambda v: clarke_from_lengths(G4, v)],
+    "rows of 4 values": [
+        lambda v: forward_transform_rows(G4, [v]), lambda v: contains_rows(G4, [v]),
+        lambda v: legacy_from_lengths_rows(ALLEN4, G4, [v]),
+        lambda v: clarke_from_lengths_rows(G4, [v]),
+    ],
+}
+PAIR_MAPS = {
+    "Clarke coordinates": [
+        lambda p: inverse_transform(G4, p), lambda p: arc_from_clarke(G4, p),
+        lambda p: legacy_from_clarke(ALLEN4, G4, p),
+    ] + [lambda p, s=s: forward_kinematics(G4, p, s) for s in SingularityStrategy],
+    "allen4 parameters": [
+        lambda p: clarke_from_legacy(ALLEN4, G4, p),
+        lambda p: clarke_from_legacy(ALLEN4, G4, LegacyPair(ALLEN4, *p)),
+    ],
+    "rows of 2 values": [
+        lambda p: inverse_transform_rows(G4, [p]), lambda p: legacy_from_clarke_rows(ALLEN4, G4, [p]),
+        lambda p: clarke_from_legacy_rows(ALLEN4, G4, [p]),
+    ] + [lambda p, s=s: forward_kinematics_rows(G4, [p], s) for s in SingularityStrategy],
+}
+
+
+@pytest.mark.parametrize("entry", [10**400, -10**400, 1j, {"a": 1}, "a"],
+                         ids=["int-above", "int-below", "complex", "dict", "str"])
+def test_entries_numpy_cannot_convert_raise_value_error_naming_the_input(entry):
+    cases = [(maps, [entry, 0.0, 0.0, 0.0]) for maps in VECTOR_MAPS.items()]
+    cases += [(maps, [0.0, entry]) for maps in PAIR_MAPS.items()]
+    for (what, maps), values in cases:
+        for call in maps:
+            with pytest.raises(ValueError, match=re.escape(f"{what} must be real numbers")) as info:
+                call(values)
+            assert type(info.value) is ValueError
+    with pytest.raises(GeometryError, match="joint angles must be real numbers"):
+        RobotGeometry(n=4, d=0.01, l=0.1, psi=[entry, 0.0, 0.0, 0.0])
+
+
+def test_a_whole_input_numpy_cannot_convert_raises_value_error_naming_it():
+    for what, call in [
+        ("joint displacements", lambda x: forward_transform(G4, x)),
+        ("Clarke coordinates", lambda x: forward_kinematics(G4, x)),
+        ("allen4 parameters", lambda x: clarke_from_legacy(ALLEN4, G4, x)),
+        ("rows of 4 values", lambda x: contains_rows(G4, x)),
+        ("rows of 2 values", lambda x: forward_kinematics_rows(G4, x)),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be real numbers")):
+            call({"a": 1})
