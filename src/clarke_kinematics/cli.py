@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import math
@@ -34,6 +35,7 @@ from .kinematics import (
     RegularizationConfig,
     SingularityStrategy,
     StraightConfigurationError,
+    _POSE_REPEATS,
     forward_kinematics_rows,
 )
 
@@ -82,9 +84,12 @@ def load_geometry(path: str) -> RobotGeometry:
         raise CliError(EXIT_USAGE, f"invalid geometry in {path}: {exc}")
 
 
-# Cells per block when mapping and writing a table, or counting its members:
-# large enough that numpy's per-call overhead vanishes, small enough that a
-# block's temporaries (about 200 bytes a cell) stay near 2 MB however long the file is.
+# Cells per block when writing a table, or counting its members: large enough
+# that numpy's per-call overhead vanishes, small enough that a block's
+# temporaries (about 200 bytes a cell) stay near 2 MB however long the file is.
+# A kernel maps up to as many rows as this (a kernel like fk's runs a dozen
+# numpy calls on each column, which 682 rows would not amortise), and at most
+# 16 times as many cells, 1 MiB of float64 for a wide table.
 _CHUNK_CELLS = 8192
 
 # A canonical block (_plain_rows) is parsed by numpy's C text parser for long
@@ -251,37 +256,73 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
     return rows
 
 
-def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None) -> None:
+def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None, repeats=()) -> None:
     """Publish the header and the rows of an (N, k) array, mapped by rows_fn if given.
 
-    Blocks of max(1, _CHUNK_CELLS // k) rows are mapped, checked and written
-    by _format_rows (the bytes of b"%.17g" % v for every value) into the
-    file _published gives.  Nothing is published unless every row maps to
-    finite values; otherwise exit 4 names the data row: under avoid-straight
-    the first straight row (every block is mapped, so a later one still
-    comes first), else the first row with a non-finite result.
+    Blocks of min(_CHUNK_CELLS, 16 * _CHUNK_CELLS // k) rows are mapped and
+    checked, and written in blocks of max(1, _CHUNK_CELLS // k) rows by
+    _format_rows (the bytes of b"%.17g" % v for every value) into the file
+    _published gives.  repeats are (column, source, negated) triples: columns
+    that rows_fn declares equal to a source column or to its negation.  Those
+    that hold bit for bit on a mapped block are formatted once there, from
+    their source; any other column is formatted cell by cell.  Nothing is
+    published unless every row maps to finite values; otherwise exit 4 names
+    the data row: under avoid-straight the first straight row (every block is
+    mapped, so a later one still comes first), else the first row with a
+    non-finite result.
     """
-    step = max(1, _CHUNK_CELLS // len(header))
+    k = len(header)
+    step = max(1, _CHUNK_CELLS // k)
+    span = min(_CHUNK_CELLS, 16 * _CHUNK_CELLS // k)
     bad = None
     try:
         with _published(path) as fh, np.errstate(all="ignore"):
             fh.write(",".join(header).encode("utf-8") + b"\n")
-            for start in range(0, len(rows), step):
-                block = rows[start : start + step]
+            for start in range(0, len(rows), span):
+                block = rows[start : start + span]
                 if rows_fn is not None:
                     block = rows_fn(block)
                     if bad is None and not (finite := np.isfinite(block)).all():
-                        i, j = divmod(int(finite.argmin()), len(header))
+                        i, j = divmod(int(finite.argmin()), k)
                         bad = (f"row {start + i + 1}: column {header[j]} is {block[i, j]}; "
                                "the input is outside the finite domain of the map")
                 if bad is None:
-                    fh.write(_format_rows(block))
+                    held = repeats and _repeats_held(block, repeats)
+                    for first in range(0, len(block), step):
+                        fh.write(_format_rows(block[first : first + step], held))
             if bad is not None:
                 raise CliError(EXIT_DOMAIN, bad)
     except StraightConfigurationError as exc:  # its row counts from the start of the block
         raise CliError(EXIT_DOMAIN, f"row {start + exc.row + 1}: {exc}")
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot write {path}: {exc}")
+
+
+def _created_beside(target: str) -> tuple[int, str]:
+    """A new file .<name>.<random>.tmp beside target, open for writing, and its path.
+
+    It is created as open creates a file, with mode 0o666 less the umask,
+    which the kernel applies, so the process umask is never read or set.
+    """
+    head, tail = os.path.split(target)
+    for _ in range(tempfile.TMP_MAX):
+        temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "No usable temporary file name found", head)
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _repeats_held(block: np.ndarray, repeats) -> tuple:
+    """The (column, source, negated) of repeats that hold bit for bit on every row of block."""
+    bits = block.view(np.uint64)
+    return tuple((column, source, negated) for column, source, negated in repeats
+                 if np.array_equal(bits[:, column], bits[:, source] ^ _SIGN_BIT if negated
+                                   else bits[:, source]))
 
 
 @contextlib.contextmanager
@@ -298,21 +339,19 @@ def _published(path: str) -> Iterator[BinaryIO]:
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | 0o666 & ~umask
-    if not stat.S_ISREG(mode):
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as fh, tempfile.TemporaryFile() as spool:
             yield spool
             spool.seek(0)
             shutil.copyfileobj(spool, fh)
         return
     target = os.path.realpath(path)
-    head, tail = os.path.split(target)
-    fd, temp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head)
+    fd, temp = _created_beside(target)
     try:
         with open(fd, "wb") as fh:
-            os.fchmod(fd, stat.S_IMODE(mode))
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             yield fh
         os.replace(temp, target)
     except BaseException:
@@ -431,10 +470,31 @@ def _outside(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (hi < 1e16) | (hi == 1e16) & (lo < 0), (hi > 1e17) | (hi == 1e17) & (lo >= 0)
 
 
-def _format_rows(rows: np.ndarray) -> bytes:
-    """The CSV lines of an (N, k) float64 array, byte for byte as %.17g gives them."""
+@functools.cache
+def _repeat_layout(width: int, repeats: tuple) -> tuple[list[int], list[int], list[int]]:
+    """The columns _format_rows lays out, for each column the index among them
+    of the one it copies (itself or its source), and the negated columns."""
+    copied = {column: source for column, source, _ in repeats}
+    distinct = [j for j in range(width) if j not in copied]
+    source_of = [distinct.index(copied.get(j, j)) for j in range(width)]
+    return distinct, source_of, [column for column, _, negated in repeats if negated]
+
+
+def _format_rows(rows: np.ndarray, repeats=()) -> bytes:
+    """The CSV lines of an (N, k) float64 array, byte for byte as %.17g gives them.
+
+    Each (column, source, negated) of repeats names a column equal bit for bit
+    to its source column, or to its negation.  The vectorised path lays out
+    the other columns only; a repeated column's records are copies of its
+    source's, with the sign byte toggled for a negation.
+    """
     _, quads, quad_zeros, exponents, (keep, shift, marks) = _format_tables()
-    x = rows.ravel()
+    height, width = rows.shape
+    if repeats:
+        distinct, source_of, negated = _repeat_layout(width, repeats)
+        x = rows.take(distinct, axis=1).ravel()
+    else:
+        x = rows.ravel()
     n = x.size
     a = np.abs(x)
     zero = a == 0
@@ -478,8 +538,7 @@ def _format_rows(rows: np.ndarray) -> bytes:
     exponent_form = (k < -4) | (k >= 17)
     shown = np.flatnonzero(exponent_form)
     records[shown, 1 + _BODY : 1 + _BODY + 5] = exponents.take(k[shown] - _POW_MIN, axis=0)
-    records.reshape(rows.shape + (_RECORD,))[:, :, -1] = 44
-    records.reshape(rows.shape + (_RECORD,))[:, -1, -1] = 10
+    records[:, -1] = 44
 
     k[exponent_form] = 0
     p = 5 + k
@@ -491,7 +550,14 @@ def _format_rows(rows: np.ndarray) -> bytes:
     shifted *= buffer[:-1].reshape(n, _RECORD)  # the byte before each record byte
     out += shifted
     out += marks.take(key, axis=0)
-    for i in np.flatnonzero(~(fast | zero)).tolist():
+    slow = ~(fast | zero)
+    if repeats:
+        out = out.reshape(height, -1, _RECORD).take(source_of, axis=1)
+        out[:, negated, 0] ^= 45  # "-" and NUL swap
+        slow = slow.reshape(height, -1).take(source_of, axis=1).ravel()
+        out, x = out.reshape(-1, _RECORD), rows.ravel()
+    out.reshape(height, width, _RECORD)[:, -1, -1] = 10
+    for i in np.flatnonzero(slow).tolist():
         text = b"%.17g" % x[i]
         out[i, :-1] = 0
         out[i, : len(text)] = list(text)
@@ -510,12 +576,15 @@ def _out_of_memory(name: str, rows: int | str) -> CliError:
 
 
 def _map_rows(args: argparse.Namespace) -> int:
-    """Map the rows of --input to --output by the headers and function args.plan picks."""
+    """Map the rows of --input to --output by the headers and function args.plan picks.
+
+    A plan may add the columns its function repeats (_write_table's repeats).
+    """
     geometry = load_geometry(args.geometry)
-    in_header, out_header, rows_fn = args.plan(args, geometry)
+    in_header, out_header, rows_fn, *repeats = args.plan(args, geometry)
     table = _read_table(args.input, in_header)
     try:
-        _write_table(args.output, out_header, table, rows_fn)
+        _write_table(args.output, out_header, table, rows_fn, *repeats)
     except MemoryError:
         raise _out_of_memory(args.command, len(table))
     return EXIT_OK
@@ -550,7 +619,8 @@ def _fk_plan(args: argparse.Namespace, geometry: RobotGeometry):
     strategy = SingularityStrategy.from_name(args.strategy)
     config = RegularizationConfig.default(geometry, epsilon=args.epsilon)
     header = ["x", "y", "z"] + [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    return _CLARKE, header, lambda rows: forward_kinematics_rows(geometry, rows, strategy, config)
+    return (_CLARKE, header, lambda rows: forward_kinematics_rows(geometry, rows, strategy, config),
+            _POSE_REPEATS)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:

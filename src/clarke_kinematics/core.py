@@ -41,6 +41,7 @@ MATVEC_SAFE = 2.0**1022
 # to four of its values, a value times d, or up to 3 times d.
 _SCALE_SAFE = 2.0**1021
 _DBL_MIN = 2.0**-1022
+_FLOAT64 = np.dtype(float)
 
 
 class GeometryError(ValueError):
@@ -200,10 +201,15 @@ def build_clarke_matrix(geometry: RobotGeometry) -> ClarkeMatrix:
 def float_array(values, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
     """values as a float array, else raises error naming them `what`.
 
-    Refuses what numpy cannot convert: an entry that is not a real number
-    (a string, a complex, a dict, a ragged row), or an integer beyond the
-    float range.
+    A float64 array is returned as it is.  Refuses a complex numpy array or
+    scalar, which numpy would cast to its real part, and what numpy cannot
+    convert: an entry that is not a real number (a string, a complex, a dict,
+    a ragged row), or an integer beyond the float range.
     """
+    if type(values) is np.ndarray and values.dtype is _FLOAT64:
+        return values
+    if getattr(values, "dtype", _FLOAT64).kind == "c":
+        raise error(f"{what} must be real numbers, not {values.dtype}")
     try:
         return np.asarray(values, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:

@@ -36,6 +36,7 @@ from .core import (
     as_rows,
     as_vector,
     finite_real,
+    float_array,
     positive_finite,
     scaled_form,
 )
@@ -129,8 +130,9 @@ class Pose:
     rotation: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.array(self.position, dtype=float)  # a copy: the caller's arrays stay theirs
-        rot = np.array(self.rotation, dtype=float)
+        # copies: the caller's arrays stay theirs
+        pos = float_array(self.position, "pose position").copy()
+        rot = float_array(self.rotation, "pose rotation").copy()
         if pos.shape != (3,) or rot.shape != (3, 3):
             raise ValueError("pose needs a 3-vector position and 3x3 rotation")
         pos.flags.writeable = False
@@ -362,6 +364,13 @@ def _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, ops):
         -u * v * g2, 1.0 - v * v * g2, v * g1,
         -u * g1, -v * g1, cos_phi,
     )
+
+
+# The pose terms that repeat another, as (column, source column, negated):
+# r21 = r12, r31 = -r13 and r32 = -r23 bit for bit, since _pose_terms builds
+# each pair from the same products and a negation rounds nothing.  The CLI
+# formats each source once and checks the repeats on every block it writes.
+_POSE_REPEATS = ((6, 4, False), (9, 5, True), (10, 8, True))
 
 
 def forward_kinematics(

@@ -62,6 +62,7 @@ class LegacyScheme(enum.Enum):
         member = object.__new__(cls)
         member._value_ = value
         member.n, member.pair_names, member._k = n, pair_names, k
+        member._label = f"{value} parameters"  # what as_pair names, built once
         member._power = 0 if k is None else -1  # of d in the pair: the Allen schemes' gain k/d
         return member
 
@@ -149,7 +150,7 @@ def clarke_from_legacy(
                 f"pair is tagged {pair.scheme.value}, expected {scheme.value}"
             )
         pair = pair[1:]
-    pair = as_pair(pair, f"{scheme.value} parameters")
+    pair = as_pair(pair, scheme._label)
     re, im = scaled_form(scheme._clarke_of, pair, geometry.d, -scheme._power)
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(f"{scheme.value} parameters ({pair[0]}, {pair[1]}) give non-finite "

@@ -1,4 +1,4 @@
-"""Row commands map and write their tables in blocks of cli._CHUNK_CELLS cells.
+"""Row commands map their tables in blocks of rows and write them in blocks of cells.
 
 Every block size must give the bytes, messages and exit codes of one block
 over the whole table, and the memory a command holds beyond its input table
@@ -20,7 +20,7 @@ import pytest
 from clarke_kinematics import cli
 from test_cli_bytes import CASES, run_case
 
-BLOCK_SIZES = [1, 2, 3, None]  # rows per block; None: the default, _CHUNK_CELLS // columns
+BLOCK_SIZES = [1, 2, 3, None]  # rows per block; None: the default blocks
 CLARKE_HEADER = ["rho_re", "rho_im"]
 BENT = [[0.0123, -0.0045], [-0.021, 0.0173], [2.1e-7, -1.3e-7], [0.004, 0.002]]
 
@@ -37,8 +37,19 @@ def _csv(path, header, rows):
 
 
 def _blocks_of(block_rows, columns):
-    """Patch _CHUNK_CELLS so that a table of that many columns goes block_rows rows at a time."""
+    """Patch _CHUNK_CELLS so that a table of that many columns is written, and its
+    members counted, block_rows rows at a time (and mapped min(columns, 16) times as many)."""
     cells = cli._CHUNK_CELLS if block_rows is None else block_rows * columns
+    return mock.patch.object(cli, "_CHUNK_CELLS", cells)
+
+
+def _mapped_blocks_of(block_rows):
+    """Patch _CHUNK_CELLS so that a table of at most 16 columns is mapped block_rows rows at a time.
+
+    _write_table maps min(_CHUNK_CELLS, 16 * _CHUNK_CELLS // k) rows at a time;
+    it then writes them max(1, block_rows // k) rows at a time.
+    """
+    cells = cli._CHUNK_CELLS if block_rows is None else block_rows
     return mock.patch.object(cli, "_CHUNK_CELLS", cells)
 
 
@@ -56,6 +67,8 @@ def test_blocks_write_the_bytes_of_one_block(tmp_path, name):
         whole = run_case(tmp_path, name)
     for block_rows in BLOCK_SIZES:
         with _blocks_of(block_rows, columns):
+            assert run_case(tmp_path, name) == whole
+        with _mapped_blocks_of(block_rows):
             assert run_case(tmp_path, name) == whole
 
 
@@ -85,7 +98,7 @@ def _fk_argv(tmp_path, rows, strategy):
 def test_avoid_straight_names_a_later_straight_row_first(tmp_path, block_rows):
     """Row 2 overflows and row 6 is straight: row 6 is named, as with one block."""
     rows = BENT[:1] + [[1e306, 1e306]] + BENT[1:] + [[0.0, 0.0], BENT[0]]
-    with _blocks_of(block_rows, 12):
+    with _mapped_blocks_of(block_rows):
         rc, out, err = _run(_fk_argv(tmp_path, rows, "avoid-straight"))
     assert rc == cli.EXIT_DOMAIN and out == ""
     assert err.startswith("error: row 6: bending angle 0.000e+00 below epsilon")
@@ -96,7 +109,7 @@ def test_avoid_straight_names_a_later_straight_row_first(tmp_path, block_rows):
 @pytest.mark.parametrize("strategy", ["analytic-branch", "avoid-straight"])
 def test_overflow_in_a_later_block_names_its_row_and_column(tmp_path, block_rows, strategy):
     rows = BENT + [[1e306, -1e306], [1e306, 1e306]]
-    with _blocks_of(block_rows, 12):
+    with _mapped_blocks_of(block_rows):
         rc, out, err = _run(_fk_argv(tmp_path, rows, strategy))
     assert rc == cli.EXIT_DOMAIN and out == ""
     assert err == (

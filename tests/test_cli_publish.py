@@ -79,7 +79,7 @@ def test_a_domain_error_after_written_blocks_keeps_the_old_output(tmp_path):
     argv = _fk_argv(tmp_path, rows, output, "avoid-straight")
     output.write_bytes(OLD)
     listing = _listing(tmp_path)
-    proc = _run(argv, prelude="cli._CHUNK_CELLS = 24")  # blocks of 2 rows
+    proc = _run(argv, prelude="cli._CHUNK_CELLS = 24")  # mapped in 24 rows, written in 2
     _assert_failed_cleanly(proc, cli.EXIT_DOMAIN, output, listing)
     assert proc.stderr.decode().startswith("error: row 41: bending angle")
 
@@ -114,11 +114,11 @@ def test_an_interrupt_while_writing_keeps_the_old_output(tmp_path):
     prelude = (
         "cli._CHUNK_CELLS = 24\n"
         "format_rows, calls = cli._format_rows, []\n"
-        "def interrupted(rows):\n"
+        "def interrupted(*args):\n"
         "    calls.append(1)\n"
         "    if len(calls) == 2:\n"
         "        raise KeyboardInterrupt\n"
-        "    return format_rows(rows)\n"
+        "    return format_rows(*args)\n"
         "cli._format_rows = interrupted"
     )
     proc = _run(argv, prelude=prelude)
@@ -183,3 +183,19 @@ def test_output_modes_follow_open_and_keep_an_existing_file(tmp_path, umask, exi
     assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
     assert stat.S_IMODE(output.stat().st_mode) == mode
     assert output.read_bytes() != OLD
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_a_new_output_gets_the_mode_open_gives_without_reading_the_umask(tmp_path, umask, mode):
+    """Reading the umask through os.umask(0) would set it to 0 for a moment in every thread."""
+    output = tmp_path / "poses.csv"
+    argv = _fk_argv(tmp_path, _bent(5), output)
+    prelude = (
+        "import os\n"
+        "def umask(mask):\n"
+        "    raise AssertionError('os.umask called')\n"
+        "os.umask = umask"
+    )
+    proc = _run(argv, prelude=prelude, preexec_fn=lambda: os.umask(umask))
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
+    assert stat.S_IMODE(output.stat().st_mode) == mode

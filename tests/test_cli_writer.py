@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarke_kinematics import cli
+from clarke_kinematics.kinematics import _POSE_REPEATS
 
 
 def reference_write_table(path, header, rows):
@@ -74,8 +75,8 @@ cells = st.one_of(
 
 
 @st.composite
-def tables(draw):
-    k = draw(st.sampled_from([1, 2, 3, 12]))
+def tables(draw, widths=(1, 2, 3, 12)):
+    k = draw(st.sampled_from(widths))
     n = draw(st.integers(0, 8))
     return np.array(draw(st.lists(cells, min_size=n * k, max_size=n * k)), dtype=float).reshape(n, k)
 
@@ -137,4 +138,60 @@ def test_writer_peak_within_reference(tmp_path):
             tracemalloc.stop()
 
     assert peak(cli._write_table, "got.csv") <= peak(reference_write_table, "want.csv") + 2**20
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(widths=(12,)), st.sampled_from([1, 2, 3, 24, cli._CHUNK_CELLS]),
+       st.lists(st.integers(-1, 7), min_size=3, max_size=3))
+def test_repeated_columns_write_as_reference(tmp_path_factory, table, chunk_cells, broken):
+    """Columns set to their declared source, or its negation, are written as the
+    reference writes them, and so is a column whose repeat one row breaks
+    (row `broken`, -1 or past the end for none)."""
+    for (column, source, negated), row in zip(_POSE_REPEATS, broken):
+        table[:, column] = -table[:, source] if negated else table[:, source]
+        if 0 <= row < len(table):
+            table[row : row + 1, column].view(np.uint64)[0] ^= 1  # the last bit: still finite
+    header = [f"c_{i}" for i in range(12)]
+    path = tmp_path_factory.mktemp("repeats")
+    reference_write_table(str(path / "want.csv"), header, table)
+    with mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells):
+        cli._write_table(str(path / "got.csv"), header, table, None, _POSE_REPEATS)
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
+def test_fk_formats_in_full_a_repeat_its_kernel_breaks(tmp_path):
+    """r21 is nudged off r12 in one row of the second mapped block only.
+
+    That block writes r21 cell by cell and the others copy it from r12, and
+    the file is the one-%.17g-per-cell reference of what the kernel gave.
+    """
+    geometry = tmp_path / "g.json"
+    geometry.write_text('{"n": 4, "d": 0.01, "l": 0.1}')
+    clarke = np.random.default_rng(21).normal(scale=0.01, size=(20_000, 2))
+    clarke[::97] = 0.0  # straight rows
+    cli._write_table(str(tmp_path / "clarke.csv"), ["rho_re", "rho_im"], clarke)
+    mapped, held = [], []
+    kernel, format_rows = cli.forward_kinematics_rows, cli._format_rows
+
+    def broken_kernel(*args):
+        poses = kernel(*args)
+        if len(mapped) == 1:
+            poses[100, 6] = np.nextafter(poses[100, 6], math.inf)
+        mapped.append(poses.copy())
+        return poses
+
+    def spied_format(rows, repeats=()):
+        held.append((len(mapped), repeats))
+        return format_rows(rows, repeats)
+
+    with mock.patch.object(cli, "forward_kinematics_rows", broken_kernel), \
+            mock.patch.object(cli, "_format_rows", spied_format):
+        assert cli.main(["fk", "--geometry", str(geometry), "--input", str(tmp_path / "clarke.csv"),
+                         "--output", str(tmp_path / "got.csv")]) == cli.EXIT_OK
+    assert len(mapped) == 3
+    assert {repeats for block, repeats in held if block != 2} == {_POSE_REPEATS}
+    assert {repeats for block, repeats in held if block == 2} == {_POSE_REPEATS[1:]}
+    header = ["x", "y", "z"] + [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+    reference_write_table(str(tmp_path / "want.csv"), header, np.concatenate(mapped))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

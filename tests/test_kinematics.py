@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarke_kinematics import (
     ArcParams,
@@ -16,6 +18,7 @@ from clarke_kinematics import (
     arc_from_clarke,
     clarke_from_arc,
     forward_kinematics,
+    forward_kinematics_rows,
     forward_transform,
     inverse_transform,
     regularized_magnitude,
@@ -553,3 +556,51 @@ class TestPose:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Pose(position=np.zeros(2), rotation=np.eye(3))
+
+
+# r21 = r12, r31 = -r13 and r32 = -r23 in the 12 pose columns x, y, z, r11, ..., r33
+POSE_REPEATS = {"r21": ("r12", False), "r31": ("r13", True), "r32": ("r23", True)}
+POSE_COLUMNS = ["x", "y", "z"] + [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _assert_repeats_bitwise(poses):
+    bits = np.ascontiguousarray(poses).view(np.uint64)
+    for name, (source, negated) in POSE_REPEATS.items():
+        want = bits[:, POSE_COLUMNS.index(source)] ^ (_SIGN_BIT if negated else np.uint64(0))
+        np.testing.assert_array_equal(bits[:, POSE_COLUMNS.index(name)], want, err_msg=name)
+
+
+def test_the_declared_pose_repeats_are_the_rotations_symmetries():
+    declared = {POSE_COLUMNS[c]: (POSE_COLUMNS[s], n) for c, s, n in kinematics._POSE_REPEATS}
+    assert declared == POSE_REPEATS
+
+
+_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310]),
+    st.tuples(st.floats(-320.0, 308.0), st.sampled_from([1.0, -1.0])).map(
+        lambda e: e[1] * 10.0 ** e[0]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ALL_STRATEGIES),
+    st.floats(-100.0, 100.0).map(lambda e: 10.0**e),
+    st.lists(st.tuples(_coordinates, _coordinates), min_size=1, max_size=12),
+)
+def test_pose_repeats_hold_bit_for_bit(strategy, d, rows):
+    """The repeats hold on every finite pose, scalar and row form, at any scale."""
+    geometry = RobotGeometry(n=4, d=d, l=0.1)
+    posed = []
+    for row in rows:
+        try:
+            pose = forward_kinematics(geometry, row, strategy)
+        except ValueError:  # straight under avoid-straight, or a pose that overflows
+            continue
+        _assert_repeats_bitwise(np.concatenate([pose.position, pose.rotation.ravel()])[None])
+        posed.append(row)
+    if posed:
+        poses = forward_kinematics_rows(geometry, posed, strategy)
+        _assert_repeats_bitwise(poses[np.isfinite(poses).all(axis=1)])

@@ -333,3 +333,27 @@ class TestSchemeNames:
         assert LegacyScheme.ALLEN3.n == 3
         assert LegacyScheme.DELLA_SANTINA4.n == 4
         assert LegacyScheme.ALLEN4.n == 4
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_clarke_from_legacy_names_the_scheme_parameters_in_its_errors(scheme):
+    """Each scheme's label is built once; every message reads as it did when built per call."""
+    geometry = RobotGeometry(n=scheme.n, d=0.01, l=0.1)
+    name = scheme.value
+    nan_coords = "(nan, 0.0)" if scheme._k is None else "(0.0, nan)"
+    cases = [
+        ((1.0, 2.0, 3.0), f"expected 2 {name} parameters, got shape (3,)"),
+        (("a", 1.0), f"{name} parameters must be real numbers within the float range "
+                     "(could not convert string to float: 'a')"),
+        ((10**400, 0), f"{name} parameters must be real numbers within the float range "
+                       "(int too large to convert to float)"),
+        (np.array([1j, 0.0]), f"{name} parameters must be real numbers, not complex128"),
+        ((math.nan, 0.0), f"{name} parameters (nan, 0.0) give non-finite Clarke coordinates "
+                          f"{nan_coords}"),
+    ]
+    for pair, message in cases:
+        tagged = len(pair) == 2 and not isinstance(pair, np.ndarray)
+        for given in (pair, LegacyPair(scheme, *pair)) if tagged else (pair,):
+            with pytest.raises(ValueError) as info:
+                clarke_from_legacy(scheme, geometry, given)
+            assert str(info.value) == message

@@ -272,3 +272,45 @@ def test_a_whole_input_numpy_cannot_convert_raises_value_error_naming_it():
     ]:
         with pytest.raises(ValueError, match=re.escape(f"{what} must be real numbers")):
             call({"a": 1})
+
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_complex_arrays_raise_value_error_naming_the_input(dtype):
+    """A complex array or scalar is refused, even with no imaginary part, before
+    numpy casts it to its real part with a warning."""
+    rho, clarke = np.array([1e-3, 0.0, 0.0, -1e-3], dtype=dtype), np.array([0.01, 0.0], dtype=dtype)
+    calls = [
+        ("joint displacements", lambda: forward_transform(G4, rho)),
+        ("joint displacements", lambda: contains(G4, rho)),
+        ("Clarke coordinates", lambda: inverse_transform(G4, clarke)),
+        ("Clarke coordinates", lambda: forward_kinematics(G4, clarke)),
+        ("Clarke coordinates", lambda: forward_kinematics(G4, dtype(0.01))),
+        ("rows of 4 values", lambda: forward_transform_rows(G4, rho[None])),
+        ("rows of 4 values", lambda: contains_rows(G4, rho[None])),
+        ("rows of 2 values", lambda: inverse_transform_rows(G4, clarke[None])),
+        ("rows of 2 values", lambda: forward_kinematics_rows(G4, clarke[None])),
+        ("pose position", lambda: Pose(position=rho[:3], rotation=np.eye(3))),
+        ("pose rotation", lambda: Pose(position=np.zeros(3), rotation=np.eye(3, dtype=dtype))),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for what, call in calls:
+            message = f"{what} must be real numbers, not {np.dtype(dtype)}"
+            with pytest.raises(ValueError, match=re.escape(message)) as info:
+                call()
+            assert type(info.value) is ValueError
+        with pytest.raises(GeometryError, match="joint angles must be real numbers, not"):
+            RobotGeometry(n=4, d=0.01, l=0.1, psi=np.zeros(4, dtype=dtype))
+
+
+@pytest.mark.parametrize("entry", [10**400, -10**400, 1j, {"a": 1}, "a"],
+                         ids=["int-above", "int-below", "complex", "dict", "str"])
+def test_a_pose_numpy_cannot_convert_raises_value_error_naming_it(entry):
+    with pytest.raises(ValueError, match="pose position must be real numbers") as info:
+        Pose(position=[entry, 0, 0], rotation=np.eye(3))
+    assert type(info.value) is ValueError
+    rotation = np.eye(3).tolist()
+    rotation[1][2] = entry
+    with pytest.raises(ValueError, match="pose rotation must be real numbers"):
+        Pose(position=np.zeros(3), rotation=rotation)
