@@ -87,9 +87,10 @@ def load_geometry(path: str) -> RobotGeometry:
 # Cells per block when writing a table, or counting its members: large enough
 # that numpy's per-call overhead vanishes, small enough that a block's
 # temporaries (about 200 bytes a cell) stay near 2 MB however long the file is.
-# A kernel maps up to as many rows as this (a kernel like fk's runs a dozen
-# numpy calls on each column, which 682 rows would not amortise), and at most
-# 16 times as many cells, 1 MiB of float64 for a wide table.
+# A kernel maps up to 16 such blocks, and at most this many rows, at a time:
+# fk's kernel makes dozens of numpy calls a block, which its 682-row write
+# blocks would not amortise, and a wide table's mapped block stays within
+# 1 MiB of float64.
 _CHUNK_CELLS = 8192
 
 # A canonical block (_plain_rows) is parsed by numpy's C text parser for long
@@ -259,21 +260,21 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
 def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None, repeats=()) -> None:
     """Publish the header and the rows of an (N, k) array, mapped by rows_fn if given.
 
-    Blocks of min(_CHUNK_CELLS, 16 * _CHUNK_CELLS // k) rows are mapped and
-    checked, and written in blocks of max(1, _CHUNK_CELLS // k) rows by
+    Blocks of step = max(1, _CHUNK_CELLS // k) rows are written by
     _format_rows (the bytes of b"%.17g" % v for every value) into the file
-    _published gives.  repeats are (column, source, negated) triples: columns
-    that rows_fn declares equal to a source column or to its negation.  Those
-    that hold bit for bit on a mapped block are formatted once there, from
-    their source; any other column is formatted cell by cell.  Nothing is
-    published unless every row maps to finite values; otherwise exit 4 names
-    the data row: under avoid-straight the first straight row (every block is
-    mapped, so a later one still comes first), else the first row with a
-    non-finite result.
+    _published gives; rows_fn maps and the finiteness check reads up to 16
+    of them, and at most _CHUNK_CELLS rows, at a time.  repeats are
+    (column, source, negated) triples: columns that rows_fn declares equal to
+    a source column or to its negation.  Those that hold bit for bit on a
+    mapped block are formatted once there, from their source; any other
+    column is formatted cell by cell.  Nothing is published unless every row
+    maps to finite values; otherwise exit 4 names the data row: under
+    avoid-straight the first straight row (every block is mapped, so a later
+    one still comes first), else the first row with a non-finite result.
     """
     k = len(header)
     step = max(1, _CHUNK_CELLS // k)
-    span = min(_CHUNK_CELLS, 16 * _CHUNK_CELLS // k)
+    span = step * min(_CHUNK_CELLS // step, 16)
     bad = None
     try:
         with _published(path) as fh, np.errstate(all="ignore"):
@@ -447,7 +448,8 @@ def _layout_masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hi, lo with hi + lo = a * 10**(16 - k) to within 2**-47 for hi + lo < 2**57."""
-    t_hi, t_hi_high, t_hi_low, t_lo = (t.take(16 - k - _POW_MIN) for t in _format_tables()[0])
+    s = 16 - _POW_MIN - k  # the row of 10**(16 - k) in each table
+    t_hi, t_hi_high, t_hi_low, t_lo = (t.take(s) for t in _format_tables()[0])
     p = a * t_hi
     a_high = a * _SPLIT
     a_high -= a_high - a
@@ -471,16 +473,19 @@ def _outside(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _repeat_layout(width: int, repeats: tuple) -> tuple[list[int], list[int], list[int]]:
+def _repeat_layout(width: int, repeats: tuple) -> tuple[list[int], list[int], np.ndarray]:
     """The columns _format_rows lays out, for each column the index among them
-    of the one it copies (itself or its source), and the negated columns."""
+    of the one it copies (itself or its source), and 45 ("-") in each negated
+    column, else 0."""
     copied = {column: source for column, source, _ in repeats}
     distinct = [j for j in range(width) if j not in copied]
     source_of = [distinct.index(copied.get(j, j)) for j in range(width)]
-    return distinct, source_of, [column for column, _, negated in repeats if negated]
+    negated = np.zeros(width, dtype=np.uint8)
+    negated[[column for column, _, negate in repeats if negate]] = 45
+    return distinct, source_of, negated
 
 
-def _format_rows(rows: np.ndarray, repeats=()) -> bytes:
+def _format_rows(rows: np.ndarray, repeats=()) -> bytearray:
     """The CSV lines of an (N, k) float64 array, byte for byte as %.17g gives them.
 
     Each (column, source, negated) of repeats names a column equal bit for bit
@@ -544,7 +549,11 @@ def _format_rows(rows: np.ndarray, repeats=()) -> bytes:
     p = 5 + k
     cut = np.where(zeros < 16 - k, _BODY - zeros, p)
     key = p * _CUTS + cut
-    out = keep.take(key, axis=0)
+    # the records whose NULs are dropped, laid out in place (a fresh array
+    # would cost one more copy, to bytes, than the layout itself)
+    text = bytearray(height * width * _RECORD)
+    lines = np.frombuffer(text, dtype=np.uint8).reshape(-1, _RECORD)
+    out = keep.take(key, axis=0) if repeats else keep.take(key, axis=0, out=lines, mode="clip")
     out *= records
     shifted = shift.take(key, axis=0)
     shifted *= buffer[:-1].reshape(n, _RECORD)  # the byte before each record byte
@@ -552,16 +561,18 @@ def _format_rows(rows: np.ndarray, repeats=()) -> bytes:
     out += marks.take(key, axis=0)
     slow = ~(fast | zero)
     if repeats:
-        out = out.reshape(height, -1, _RECORD).take(source_of, axis=1)
-        out[:, negated, 0] ^= 45  # "-" and NUL swap
-        slow = slow.reshape(height, -1).take(source_of, axis=1).ravel()
-        out, x = out.reshape(-1, _RECORD), rows.ravel()
-    out.reshape(height, width, _RECORD)[:, -1, -1] = 10
+        cells = lines.reshape(height, width, _RECORD)
+        out.reshape(height, -1, _RECORD).take(source_of, axis=1, out=cells, mode="clip")
+        cells[:, :, 0] ^= negated  # "-" and NUL swap in a negated column
+        if slow.any():
+            slow = slow.reshape(height, -1).take(source_of, axis=1)
+        slow, x = slow.ravel(), rows.ravel()
+    lines.reshape(height, width, _RECORD)[:, -1, -1] = 10
     for i in np.flatnonzero(slow).tolist():
-        text = b"%.17g" % x[i]
-        out[i, :-1] = 0
-        out[i, : len(text)] = list(text)
-    return out.tobytes().translate(None, b"\0")
+        cell = b"%.17g" % x[i]
+        lines[i, :-1] = 0
+        lines[i, : len(cell)] = list(cell)
+    return text.translate(None, b"\0")
 
 
 def _joint_header(prefix: str, n: int) -> list[str]:
