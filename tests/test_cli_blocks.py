@@ -44,10 +44,11 @@ def _blocks_of(block_rows, columns):
 
 
 def _mapped_blocks_of(block_rows):
-    """Patch _CHUNK_CELLS so that a table of at most 16 columns is mapped block_rows rows at a time.
+    """Patch _CHUNK_CELLS so that a table is mapped block_rows rows at a time.
 
-    _write_table maps min(_CHUNK_CELLS, 16 * _CHUNK_CELLS // k) rows at a time;
-    it then writes them max(1, block_rows // k) rows at a time.
+    _write_table writes step = max(1, _CHUNK_CELLS // k) rows at a time and
+    maps step * min(_CHUNK_CELLS // step, 16): for block_rows 1, 2 or 3 that
+    is block_rows rows, written max(1, block_rows // k) rows at a time.
     """
     cells = cli._CHUNK_CELLS if block_rows is None else block_rows
     return mock.patch.object(cli, "_CHUNK_CELLS", cells)
