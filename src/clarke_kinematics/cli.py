@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import functools
 import json
 import math
@@ -306,13 +305,12 @@ def _created_beside(target: str) -> tuple[int, str]:
     which the kernel applies, so the process umask is never read or set.
     """
     head, tail = os.path.split(target)
-    for _ in range(tempfile.TMP_MAX):
+    while True:
         temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
         try:
             return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
-        except FileExistsError:
-            continue
-    raise FileExistsError(errno.EEXIST, "No usable temporary file name found", head)
+        except FileExistsError:  # the name is taken: draw another
+            pass
 
 
 _SIGN_BIT = np.uint64(1 << 63)

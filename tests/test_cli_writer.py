@@ -151,7 +151,7 @@ def test_repeated_columns_write_as_reference(tmp_path_factory, table, chunk_cell
     for (column, source, negated), row in zip(_POSE_REPEATS, broken):
         table[:, column] = -table[:, source] if negated else table[:, source]
         if 0 <= row < len(table):
-            table[row : row + 1, column].view(np.uint64)[0] ^= 1  # the last bit: still finite
+            table[row : row + 1, column].view(np.uint64)[0] ^= np.uint64(1)  # the last bit: still finite
     header = [f"c_{i}" for i in range(12)]
     path = tmp_path_factory.mktemp("repeats")
     reference_write_table(str(path / "want.csv"), header, table)
