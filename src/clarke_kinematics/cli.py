@@ -34,6 +34,7 @@ from .kinematics import (
     RegularizationConfig,
     SingularityStrategy,
     StraightConfigurationError,
+    _POSE_COLUMNS,
     _POSE_REPEATS,
     forward_kinematics_rows,
 )
@@ -263,13 +264,13 @@ def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None, r
     _format_rows (the bytes of b"%.17g" % v for every value) into the file
     _published gives; rows_fn maps and the finiteness check reads up to 16
     of them, and at most _CHUNK_CELLS rows, at a time.  repeats are
-    (column, source, negated) triples: columns that rows_fn declares equal to
-    a source column or to its negation.  Those that hold bit for bit on a
-    mapped block are formatted once there, from their source; any other
-    column is formatted cell by cell.  Nothing is published unless every row
-    maps to finite values; otherwise exit 4 names the data row: under
-    avoid-straight the first straight row (every block is mapped, so a later
-    one still comes first), else the first row with a non-finite result.
+    (column, source, negated) triples.  It is the caller's precondition that
+    each such column equals its source column, or the source's negation, bit
+    for bit on every row written (rows_fn builds it so): the column is not
+    checked, but formatted from its source.  Nothing is published unless
+    every row maps to finite values; otherwise exit 4 names the data row:
+    under avoid-straight the first straight row (every block is mapped, so a
+    later one still comes first), else the first row with a non-finite result.
     """
     k = len(header)
     step = max(1, _CHUNK_CELLS // k)
@@ -287,9 +288,8 @@ def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None, r
                         bad = (f"row {start + i + 1}: column {header[j]} is {block[i, j]}; "
                                "the input is outside the finite domain of the map")
                 if bad is None:
-                    held = repeats and _repeats_held(block, repeats)
                     for first in range(0, len(block), step):
-                        fh.write(_format_rows(block[first : first + step], held))
+                        fh.write(_format_rows(block[first : first + step], repeats))
             if bad is not None:
                 raise CliError(EXIT_DOMAIN, bad)
     except StraightConfigurationError as exc:  # its row counts from the start of the block
@@ -311,17 +311,6 @@ def _created_beside(target: str) -> tuple[int, str]:
             return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
         except FileExistsError:  # the name is taken: draw another
             pass
-
-
-_SIGN_BIT = np.uint64(1 << 63)
-
-
-def _repeats_held(block: np.ndarray, repeats) -> tuple:
-    """The (column, source, negated) of repeats that hold bit for bit on every row of block."""
-    bits = block.view(np.uint64)
-    return tuple((column, source, negated) for column, source, negated in repeats
-                 if np.array_equal(bits[:, column], bits[:, source] ^ _SIGN_BIT if negated
-                                   else bits[:, source]))
 
 
 @contextlib.contextmanager
@@ -372,12 +361,14 @@ def _published(path: str) -> Iterator[BinaryIO]:
 #   (the sum is below 32); the last two-sum, which gives hi and lo, is exact.
 # So |X - (hi + lo)| <= 2**-47 (7.1e-15).  D = hi + rint(lo) is exact unless
 # the fraction of lo lies within _TIE_MARGIN, over 2**10 times that bound, of
-# 1/2: such cells (exact ties among them) take b"%.17g" % v, as do non-finite
-# values and |x| outside [_FAST_MIN, _FAST_MAX], beyond which Dekker's split
-# or the table would leave the normal range.  k starts as floor(log10|x|) and
-# moves by one where hi + lo falls outside [1e16, 1e17); within the error
-# bound of either end, both choices of k print the same digits.  D = 10**17
-# carries into k + 1.
+# 1/2.  k is floor(log10|x|), which may be one off next to a power of ten;
+# within the error bound of either end of [1e16, 1e17), both choices of k
+# print the same digits.  A cell is laid out here, or copied from the column
+# it is declared to repeat; every other cell takes b"%.17g" % v: a fraction
+# within _TIE_MARGIN of 1/2 (exact ties among them), hi + lo outside
+# [1e16, 1e17) (k off), D = 10**17 (a carry into k + 1), a non-finite value,
+# and |x| outside [_FAST_MIN, _FAST_MAX], beyond which Dekker's split or the
+# table would leave the normal range.
 _TIE_MARGIN = 1e-11
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
@@ -465,11 +456,6 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, p
 
 
-def _outside(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where hi + lo < 1e16, and where hi + lo >= 1e17."""
-    return (hi < 1e16) | (hi == 1e16) & (lo < 0), (hi > 1e17) | (hi == 1e17) & (lo >= 0)
-
-
 @functools.cache
 def _repeat_layout(width: int, repeats: tuple) -> tuple[list[int], list[int], np.ndarray]:
     """The columns _format_rows lays out, for each column the index among them
@@ -486,10 +472,11 @@ def _repeat_layout(width: int, repeats: tuple) -> tuple[list[int], list[int], np
 def _format_rows(rows: np.ndarray, repeats=()) -> bytearray:
     """The CSV lines of an (N, k) float64 array, byte for byte as %.17g gives them.
 
-    Each (column, source, negated) of repeats names a column equal bit for bit
-    to its source column, or to its negation.  The vectorised path lays out
-    the other columns only; a repeated column's records are copies of its
-    source's, with the sign byte toggled for a negation.
+    Each (column, source, negated) of repeats names a column that must equal
+    its source column, or its negation, bit for bit.  The vectorised path
+    lays out the other columns only; a repeated column's records are copies
+    of its source's, with the sign byte toggled for a negation, and a cell
+    whose source takes b"%.17g" takes it too.
     """
     _, quads, quad_zeros, exponents, (keep, shift, marks) = _format_tables()
     height, width = rows.shape
@@ -505,19 +492,13 @@ def _format_rows(rows: np.ndarray, repeats=()) -> bytearray:
     a[~fast] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)
     hi, lo = _scaled(a, k)
-    low, high = _outside(hi, lo)
-    off = np.flatnonzero(low | high)
-    if off.size:
-        k[off] += high[off].astype(np.int64) - low[off]
-        hi[off], lo[off] = _scaled(a[off], k[off])
-        low, high = _outside(hi[off], lo[off])
-        fast[off[low | high]] = False  # log10 was off by more than one
+    low = (hi < 1e16) | (hi == 1e16) & (lo < 0)
+    high = (hi > 1e17) | (hi == 1e17) & (lo >= 0)
+    fast &= ~(low | high)
     fraction = lo - np.floor(lo)
     fast &= np.abs(fraction - 0.5) > _TIE_MARGIN
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = d == 10**17
-    d[carry] = 10**16
-    k += carry
+    fast &= d != 10**17
     d[zero] = 0  # prints as its lead digit: all 16 others are trailing zeros
     k[zero] = 0
 
@@ -627,9 +608,8 @@ def _convert_plan(args: argparse.Namespace, geometry: RobotGeometry):
 def _fk_plan(args: argparse.Namespace, geometry: RobotGeometry):
     strategy = SingularityStrategy.from_name(args.strategy)
     config = RegularizationConfig.default(geometry, epsilon=args.epsilon)
-    header = ["x", "y", "z"] + [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    return (_CLARKE, header, lambda rows: forward_kinematics_rows(geometry, rows, strategy, config),
-            _POSE_REPEATS)
+    return (_CLARKE, _POSE_COLUMNS,
+            lambda rows: forward_kinematics_rows(geometry, rows, strategy, config), _POSE_REPEATS)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:

@@ -201,19 +201,28 @@ def build_clarke_matrix(geometry: RobotGeometry) -> ClarkeMatrix:
 def float_array(values, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
     """values as a float array, else raises error naming them `what`.
 
-    A float64 array is returned as it is.  Refuses a complex numpy array or
-    scalar, which numpy would cast to its real part, and what numpy cannot
-    convert: an entry that is not a real number (a string, a complex, a dict,
-    a ragged row), or an integer beyond the float range.
+    A float64 array is returned as it is.  Refuses what numpy would cast to
+    a float though it is not a real number, a string or bytes (read as the
+    number it spells) or a complex (its real part kept), as the input's dtype
+    or as an entry, and what numpy cannot convert: an entry that is not a
+    real number (a dict, a ragged row), or an integer beyond the float range.
     """
     if type(values) is np.ndarray and values.dtype is _FLOAT64:
         return values
-    if getattr(values, "dtype", _FLOAT64).kind == "c":
-        raise error(f"{what} must be real numbers, not {values.dtype}")
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype is _FLOAT64:
+            return arr
+        kind = arr.dtype.kind
+        entries = arr.ravel().tolist() if kind in "USO" else ()
+        entry = next((e for e in entries if isinstance(e, (str, bytes, np.complexfloating))), None)
+        if isinstance(entry, (str, bytes)):
+            float(entry)  # a string that spells no number: float's error names it
+        elif entry is None and kind in "biufO":
+            return arr.astype(float, copy=False)
     except (OverflowError, TypeError, ValueError) as exc:
         raise error(f"{what} must be real numbers within the float range ({exc})") from None
+    raise error(f"{what} must be real numbers, not {type(entry).__name__ if kind == 'O' else arr.dtype}")
 
 
 def as_vector(values, size: int, what: str) -> np.ndarray:

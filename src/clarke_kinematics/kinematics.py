@@ -358,18 +358,21 @@ def _pose_terms(geometry, u, v, phi, phi_eff, strategy, config, ops):
         g1, g2 = ops.where(straight, 1.0, g1), ops.where(straight, 0.5, g2)
         cos_phi = ops.where(straight, 1.0, cos_phi)
     l = geometry.l
+    r12, r13, r23 = -u * v * g2, u * g1, v * g1
     return (
         l * (u * g2), l * (v * g2), l * g1,
-        1.0 - u * u * g2, -u * v * g2, u * g1,
-        -u * v * g2, 1.0 - v * v * g2, v * g1,
-        -u * g1, -v * g1, cos_phi,
+        1.0 - u * u * g2, r12, r13,
+        r12, 1.0 - v * v * g2, r23,
+        -r13, -r23, cos_phi,
     )
 
 
+# The names of _pose_terms' 12 entries, fk's output columns, in order.
+_POSE_COLUMNS = ("x", "y", "z") + tuple(f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))
 # The pose terms that repeat another, as (column, source column, negated):
-# r21 = r12, r31 = -r13 and r32 = -r23 bit for bit, since _pose_terms builds
-# each pair from the same products and a negation rounds nothing.  The CLI
-# formats each source once and checks the repeats on every block it writes.
+# r21 = r12, r31 = -r13 and r32 = -r23 bit for bit, since _pose_terms returns
+# r12 itself and the negations of r13 and r23, and a negation rounds nothing.
+# The CLI formats each source once and copies it to its repeats.
 _POSE_REPEATS = ((6, 4, False), (9, 5, True), (10, 8, True))
 
 

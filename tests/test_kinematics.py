@@ -560,7 +560,7 @@ class TestPose:
 
 # r21 = r12, r31 = -r13 and r32 = -r23 in the 12 pose columns x, y, z, r11, ..., r33
 POSE_REPEATS = {"r21": ("r12", False), "r31": ("r13", True), "r32": ("r23", True)}
-POSE_COLUMNS = ["x", "y", "z"] + [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+POSE_COLUMNS = kinematics._POSE_COLUMNS
 _SIGN_BIT = np.uint64(1 << 63)
 
 
@@ -572,8 +572,29 @@ def _assert_repeats_bitwise(poses):
 
 
 def test_the_declared_pose_repeats_are_the_rotations_symmetries():
+    assert POSE_COLUMNS == ("x", "y", "z", "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33")
     declared = {POSE_COLUMNS[c]: (POSE_COLUMNS[s], n) for c, s, n in kinematics._POSE_REPEATS}
     assert declared == POSE_REPEATS
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_pose_terms_build_each_repeat_from_its_source(strategy):
+    """Under both op sets r21 is the very object r12 is, and r31 and r32 are
+    the negations of r13 and r23, so the repeats hold by construction."""
+    geometry = RobotGeometry(n=4, d=0.01, l=0.1)
+    config = RegularizationConfig.default(geometry)
+    clarke = np.array([[3e-3, -2e-3], [1e-12, 3e-13], [-0.02, 0.05], [0.0, -6e-8]])
+    calls = [(kinematics._ARRAY_OPS, clarke[:, 0], clarke[:, 1])]
+    calls += [(kinematics._FLOAT_OPS, re, im) for re, im in clarke.tolist()]
+    for ops, re, im in calls:
+        u, v, phi = kinematics._bending(re, im, geometry.d, ops)
+        phi_eff = kinematics._effective_angle(geometry, re, im, phi, strategy, config, ops)
+        terms = kinematics._pose_terms(geometry, u, v, phi, phi_eff, strategy, config, ops)
+        names = dict(zip(POSE_COLUMNS, terms))
+        assert names["r21"] is names["r12"]
+        for name, source in (("r31", "r13"), ("r32", "r23")):
+            bits = np.array(names[name], dtype=float).view(np.uint64)
+            np.testing.assert_array_equal(bits, np.array(-names[source], dtype=float).view(np.uint64))
 
 
 _coordinates = st.one_of(

@@ -248,8 +248,15 @@ PAIR_MAPS = {
 }
 
 
-@pytest.mark.parametrize("entry", [10**400, -10**400, 1j, {"a": 1}, "a"],
-                         ids=["int-above", "int-below", "complex", "dict", "str"])
+# entries that are not real numbers: numpy cannot convert the first ones, and
+# would read "1" and b"1" as 1.0 and keep the real part of a numpy complex
+ENTRIES = [10**400, -10**400, 1j, {"a": 1}, "a", "1", b"1", np.complex128(1 + 1j)]
+ENTRY_IDS = ["int-above", "int-below", "complex", "dict", "str", "numeric-str", "bytes",
+             "numpy-complex"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
 def test_entries_numpy_cannot_convert_raise_value_error_naming_the_input(entry):
     cases = [(maps, [entry, 0.0, 0.0, 0.0]) for maps in VECTOR_MAPS.items()]
     cases += [(maps, [0.0, entry]) for maps in PAIR_MAPS.items()]
@@ -304,8 +311,8 @@ def test_complex_arrays_raise_value_error_naming_the_input(dtype):
             RobotGeometry(n=4, d=0.01, l=0.1, psi=np.zeros(4, dtype=dtype))
 
 
-@pytest.mark.parametrize("entry", [10**400, -10**400, 1j, {"a": 1}, "a"],
-                         ids=["int-above", "int-below", "complex", "dict", "str"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
 def test_a_pose_numpy_cannot_convert_raises_value_error_naming_it(entry):
     with pytest.raises(ValueError, match="pose position must be real numbers") as info:
         Pose(position=[entry, 0, 0], rotation=np.eye(3))
