@@ -279,6 +279,8 @@ def test_a_whole_input_numpy_cannot_convert_raises_value_error_naming_it():
     ]:
         with pytest.raises(ValueError, match=re.escape(f"{what} must be real numbers")):
             call({"a": 1})
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be real numbers, not <U1")):
+            call(np.array(["1", "0", "0", "0"]))
 
 
 
