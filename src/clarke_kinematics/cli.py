@@ -21,7 +21,6 @@ import shutil
 import stat
 import sys
 import tempfile
-import warnings
 from array import array
 from collections.abc import Iterator
 from typing import BinaryIO
@@ -213,14 +212,16 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
 
     A block is canonical when its bytes, number bytes aside, are k - 1 commas
     and the first line's end (LF, CRLF or CR) on every line, so that no
-    whitespace reaches the parser, which reads a blank cell as 0.  None
-    unless the block is canonical, no cell is empty and every cell reads as
-    a finite float.  The block, its line ends made commas, is parsed as
-    long doubles, each cast to a double.  That second rounding differs from
-    float()'s one only where the long double lies exactly halfway between
-    two doubles: such cells are read again by float().  So are subnormal
-    results, nonzero cells cast to zero and DBL_MAX in magnitude, where the
-    cast could depend on the FPU's flush-to-zero mode.
+    whitespace reaches the parser, which reads a blank cell as 0.  The block,
+    its line ends made commas and a sentinel cell 0 appended, is parsed as
+    long doubles.  numpy stops at the first cell it cannot read whole (numpy
+    2 raises, numpy 1 returns what it read, a partial value included), so
+    None unless every cell and the sentinel come back as finite values.  The
+    cast to a double differs from float()'s one rounding only where the long
+    double lies exactly halfway between two doubles: such cells are read
+    again by float().  So are subnormal results, nonzero cells cast to zero
+    and DBL_MAX in magnitude, where the cast could depend on the FPU's
+    flush-to-zero mode.
     """
     seps = data.translate(None, _NUMBER)
     first_end = seps[k - 1 : k + 1]
@@ -229,16 +230,13 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
     if eol not in _LINE_ENDS or seps != row * (len(seps) // len(row)):
         return None
     text = data.replace(eol, b",")
-    with warnings.catch_warnings():
-        # unmatched data (an empty cell, say) raises ValueError from numpy 2,
-        # and gives a partial array and this warning before it
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            parsed = np.fromstring(text, dtype=np.longdouble, sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
-    if parsed.size != len(seps) // len(row) * k:  # an empty last cell ends the parse early
+    try:  # numpy 1's warning is raised where the caller's filters make it an error
+        parsed = np.fromstring(text + b"0", dtype=np.longdouble, sep=",")
+    except (ValueError, DeprecationWarning):
         return None
+    if parsed.size != len(seps) // len(row) * k + 1:
+        return None
+    parsed = parsed[:-1]
     with np.errstate(all="ignore"):
         rows = parsed.astype(np.float64)
         if not np.isfinite(rows).all():

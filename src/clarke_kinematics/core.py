@@ -202,10 +202,10 @@ def float_array(values, what: str, error: type[ValueError] = ValueError) -> np.n
     """values as a float array, else raises error naming them `what`.
 
     A float64 array is returned as it is.  Refuses what numpy would cast to
-    a float though it is not a real number, a string or bytes (read as the
-    number it spells) or a complex (its real part kept), as the input's dtype
-    or as an entry, and what numpy cannot convert: an entry that is not a
-    real number (a dict, a ragged row), or an integer beyond the float range.
+    a float though it is not a real number, as the input's dtype or as an
+    entry: a string or bytes (read as the number it spells), a complex (its
+    real part kept) or None (read as NaN); and what numpy cannot convert: a
+    dict, a ragged row, or an integer beyond the float range.
     """
     if type(values) is np.ndarray and values.dtype is _FLOAT64:
         return values
@@ -215,10 +215,11 @@ def float_array(values, what: str, error: type[ValueError] = ValueError) -> np.n
             return arr
         kind = arr.dtype.kind
         entries = arr.ravel().tolist() if kind in "USO" else ()
-        entry = next((e for e in entries if isinstance(e, (str, bytes, np.complexfloating))), None)
+        entry = next((e for e in entries
+                      if e is None or isinstance(e, (str, bytes, np.complexfloating))), arr)
         if isinstance(entry, (str, bytes)):
             float(entry)  # a string that spells no number: float's error names it
-        elif entry is None and kind in "biufO":
+        elif entry is arr and kind in "biufO":  # arr: no such entry
             return arr.astype(float, copy=False)
     except (OverflowError, TypeError, ValueError) as exc:
         raise error(f"{what} must be real numbers within the float range ({exc})") from None

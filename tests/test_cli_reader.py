@@ -213,7 +213,10 @@ def plain_files(draw):
 
 def _strict_outcome(read, *args):
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy 1's DeprecationWarning on unmatched data included
+        # no warning may escape the reader; numpy 1's DeprecationWarning on
+        # unmatched data is raised here, and refuses its block as a short
+        # count does under other filters
+        warnings.simplefilter("error")
         return _outcome(read, *args)
 
 
@@ -378,9 +381,11 @@ def test_blank_cell_is_named(workdir, line, parsed):
 def test_a_short_parse_is_read_cell_by_cell(tmp_path):
     """A canonical block that numpy parses one value short is refused by its cell count.
 
-    numpy 2 raises on unmatched data; numpy 1 can end the parse early at an
-    empty last cell.  The refused block is read cell by cell, as the
-    reference reads it.
+    A block is taken only when numpy returns every cell and the sentinel
+    cell appended to it.  numpy 2 raises on unmatched data, and numpy 1
+    returns the values it read up to the cell it could not finish, so both
+    fall short of that count.  The refused block is read cell by cell, as
+    the reference reads it.
     """
     header = ["rho_re", "rho_im"]
     path = tmp_path / "in.csv"
@@ -402,6 +407,165 @@ def test_a_short_parse_is_read_cell_by_cell(tmp_path):
     want = np.asarray(reference_read_table(str(path), header)).reshape(-1, 2)
     assert parse.called and all(refusals)
     assert got.tobytes() == want.tobytes()
+
+
+def test_the_reader_parses_under_the_callers_warnings_filters(tmp_path):
+    """Every np.fromstring call sees the warnings filters its caller set.
+
+    The reader changes no process-wide state, so cli.main may run in
+    several threads at once.
+    """
+    header = ["rho_re", "rho_im"]
+    table = np.random.default_rng(25).normal(scale=0.01, size=(100_000, 2))
+    path = tmp_path / "in.csv"
+    cli._write_table(str(path), header, table)
+    fromstring, seen = np.fromstring, []
+
+    def spy(*args, **kwargs):
+        seen.append(list(warnings.filters))
+        return fromstring(*args, **kwargs)
+
+    filters = list(warnings.filters)
+    with mock.patch.object(np, "fromstring", side_effect=spy):
+        got = cli._read_table(str(path), header)
+    assert got.tobytes() == table.tobytes()
+    assert len(seen) > 1 and all(during == filters for during in seen)
+
+
+def numpy1_fromstring(fromstring):
+    """np.fromstring(text, dtype, sep=",") as numpy 1 parses unmatched data.
+
+    numpy 1 reads the longest number at each cell's start, as strtold does.
+    At a cell it cannot read whole it warns and returns what it has read,
+    that cell's partial value included (4 for "4e"); an empty cell ends the
+    parse in the same way, before any value.
+    """
+    def parse(text, dtype, sep):
+        assert sep == ","
+        read = []
+        cells = text.split(b",")
+        for i, cell in enumerate(cells):
+            if not cell and i == len(cells) - 1:  # the separator ended the text
+                break
+            whole = next((j for j in range(len(cell), 0, -1) if _reads(cell[:j])), 0)
+            if whole:
+                read.append(cell[:whole])
+            if whole < len(cell) or not cell:
+                warnings.warn("string or file could not be read to its end due to unmatched data; "
+                              "this will raise a ValueError in the future.", DeprecationWarning)
+                break
+        return fromstring(b",".join(read), dtype=dtype, sep=sep)
+
+    return parse
+
+
+def _reads(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _canonical_text(header, size, last):
+    """Canonical rows of header whose first size bytes end with the row last, then more rows.
+
+    Row padding makes the LF of last the file's byte size - 1, so a block
+    read of size // 2 bytes or of size bytes ends there.
+    """
+    k = len(header)
+    head, row = ",".join(header) + "\n", ",".join(["1"] * k) + "\n"
+    count, pad = divmod(size - len(head) - len(last), len(row))
+    rows = [row] * count
+    rows[0] = "1" + "0" * pad + rows[0][1:]
+    return head + "".join(rows) + last + row * 40, count + 1
+
+
+MALFORMED_LAST = ["4e", "1e+", "1.2.3", "4e5e"]
+
+
+@pytest.mark.parametrize("action", ["ignore", "default", "error"])
+@pytest.mark.parametrize("command", ["transform", "check"])
+@pytest.mark.parametrize("cell", MALFORMED_LAST)
+def test_numpy1_partial_last_cell_is_refused_by_the_count(workdir, cell, command, action):
+    """A last cell numpy 1 reads in part (4e as 4) fails the count: exit 3 names it.
+
+    With numpy 1's early stop emulated, under any filter of its
+    DeprecationWarning, the cell ends the file or an inner block (it is the
+    last row of the second block at each read size), and both transform and
+    check --membership refuse it; check prints nothing.
+    """
+    if command == "transform":
+        header, argv = ["rho_re", "rho_im"], ["transform", "--direction", "inverse",
+                                                "--geometry", str(workdir / "g4.json")]
+    else:
+        header, argv = ["rho_1", "rho_2", "rho_3"], ["check", "--n-max", "3",
+                                                      "--geometry", str(workdir / "g3.json")]
+    last = ",".join(["0"] * (len(header) - 1) + [cell]) + "\n"
+    path, out = workdir / f"numpy1-{command}.csv", workdir / "numpy1-out.csv"
+    placements = [(None, ",".join(header) + "\n1,2" + ",3" * (len(header) - 2) + "\n" + last, 2)]
+    for read_bytes in READ_BYTES:
+        text, row = _canonical_text(header, 2 * read_bytes, last)
+        placements.append((read_bytes, text, row))
+    fromstring = np.fromstring
+    assert (numpy1_fromstring(fromstring)(b"1,-2.5e-3,0", dtype=np.longdouble, sep=",")
+            == fromstring(b"1,-2.5e-3,0", dtype=np.longdouble, sep=",")).all()
+    files = ["--membership", str(path)]
+    if command == "transform":
+        files = ["--input", str(path), "--output", str(out)]
+    for read_bytes, text, row in placements:
+        path.write_bytes(text.encode())
+        out.unlink(missing_ok=True)
+        if read_bytes is not None:
+            with mock.patch.object(cli, "_READ_BYTES", read_bytes):
+                blocks = list(cli._blocks(io.BytesIO(text.encode())))
+            assert len(blocks) > 2 and blocks[1].endswith(last.encode())
+        with warnings.catch_warnings(record=True) as shown, \
+                mock.patch.object(cli, "_READ_BYTES", read_bytes or cli._READ_BYTES), \
+                mock.patch.object(np, "fromstring", side_effect=numpy1_fromstring(fromstring)):
+            warnings.simplefilter(action, DeprecationWarning)
+            code, stderr, stdout = _main(argv + files)
+        message = f"error: {path}: row {row}, column {header[-1]}: cannot parse {cell!r}\n"
+        assert (code, stderr, stdout) == (cli.EXIT_PARSE, message, "")
+        assert not out.exists()
+        assert [w.category for w in shown] == [DeprecationWarning] * (action == "default")
+
+
+def test_main_runs_in_several_threads_at_once(workdir):
+    """Four threads run transform, fk and convert through cli.main at once.
+
+    Each output equals the bytes of the same command run alone, and the
+    warnings filters are as they were.
+    """
+    rng = np.random.default_rng(27)
+    clarke, rho = workdir / "threads-clarke.csv", workdir / "threads-rho.csv"
+    cli._write_table(str(clarke), ["rho_re", "rho_im"], rng.normal(scale=0.01, size=(30_000, 2)))
+    geometry = ["--geometry", str(workdir / "g4.json")]
+    assert cli.main(["transform", "--direction", "inverse", "--input", str(clarke),
+                     "--output", str(rho)] + geometry) == cli.EXIT_OK
+    jobs = [
+        ["transform", "--direction", "forward", "--input", str(rho)],
+        ["transform", "--direction", "inverse", "--input", str(clarke)],
+        ["fk", "--strategy", "adaptive-epsilon", "--input", str(clarke)],
+        ["convert", "--scheme", "allen4", "--from", "clarke", "--input", str(clarke)],
+    ]
+    for i, job in enumerate(jobs):
+        assert cli.main(job + geometry + ["--output", str(workdir / f"serial-{i}.csv")]) == cli.EXIT_OK
+    filters, start, codes = list(warnings.filters), threading.Barrier(len(jobs)), [None] * len(jobs)
+
+    def run(i):
+        start.wait()
+        codes[i] = cli.main(jobs[i] + geometry + ["--output", str(workdir / f"thread-{i}.csv")])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert codes == [cli.EXIT_OK] * len(jobs)
+    for i in range(len(jobs)):
+        assert (workdir / f"thread-{i}.csv").read_bytes() == (workdir / f"serial-{i}.csv").read_bytes()
+    assert warnings.filters == filters
 
 
 @pytest.mark.parametrize("read_bytes", READ_BYTES)

@@ -249,15 +249,16 @@ PAIR_MAPS = {
 
 
 # entries that are not real numbers: numpy cannot convert the first ones, and
-# would read "1" and b"1" as 1.0 and keep the real part of a numpy complex
-ENTRIES = [10**400, -10**400, 1j, {"a": 1}, "a", "1", b"1", np.complex128(1 + 1j)]
+# would read "1" and b"1" as 1.0, keep the real part of a numpy complex and
+# read None as NaN
+ENTRIES = [10**400, -10**400, 1j, {"a": 1}, "a", "1", b"1", np.complex128(1 + 1j), None]
 ENTRY_IDS = ["int-above", "int-below", "complex", "dict", "str", "numeric-str", "bytes",
-             "numpy-complex"]
+             "numpy-complex", "none"]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
-def test_entries_numpy_cannot_convert_raise_value_error_naming_the_input(entry):
+def test_entries_that_are_not_real_numbers_raise_value_error_naming_the_input(entry):
     cases = [(maps, [entry, 0.0, 0.0, 0.0]) for maps in VECTOR_MAPS.items()]
     cases += [(maps, [0.0, entry]) for maps in PAIR_MAPS.items()]
     for (what, maps), values in cases:
@@ -315,7 +316,7 @@ def test_complex_arrays_raise_value_error_naming_the_input(dtype):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
-def test_a_pose_numpy_cannot_convert_raises_value_error_naming_it(entry):
+def test_a_pose_with_entries_that_are_not_real_numbers_raises_value_error_naming_it(entry):
     with pytest.raises(ValueError, match="pose position must be real numbers") as info:
         Pose(position=[entry, 0, 0], rotation=np.eye(3))
     assert type(info.value) is ValueError
