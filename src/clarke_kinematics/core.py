@@ -219,7 +219,7 @@ def float_array(values, what: str, error: type[ValueError] = ValueError) -> np.n
                       if e is None or isinstance(e, (str, bytes, np.complexfloating))), arr)
         if isinstance(entry, (str, bytes)):
             float(entry)  # a string that spells no number: float's error names it
-        elif entry is arr and kind in "biufO":  # arr: no such entry
+        elif entry is arr and kind in "biufO":  # next gave its default: no such entry
             return arr.astype(float, copy=False)
     except (OverflowError, TypeError, ValueError) as exc:
         raise error(f"{what} must be real numbers within the float range ({exc})") from None
