@@ -1,9 +1,9 @@
 """Batch CLI: CSV trajectory transforms, conversions, sampling, FK, self-check.
 
 Exit codes: 0 success, 1 identity failure, 2 usage or schema error (a
-failed write to stdout, and any value the library refuses with ValueError,
-included), 3 cell parse error, 4 domain error (a row whose result is not
-finite, or avoid-straight at a straight configuration).
+failed write to stdout, any value the library refuses with ValueError, and
+running out of memory, included), 3 cell parse error, 4 domain error (a row
+whose result is not finite, or avoid-straight at a straight configuration).
 The identity tolerance of `check` can be overridden with the environment
 variable CLARKE_KIN_TOL.  `check --n-max` is at most 256 (_N_MAX_LIMIT), because
 the suite builds an n x n projector for every joint count up to it.
@@ -63,7 +63,8 @@ def load_geometry(path: str) -> RobotGeometry:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read geometry file {path}: {exc}")
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer past
+        # Python's digit limit, or arrays and objects nested past the recursion limit
         raise CliError(EXIT_USAGE, f"geometry file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise CliError(EXIT_USAGE, f"geometry file {path} must hold a JSON object")
@@ -139,8 +140,6 @@ def _read_table(path: str, expected_header: list[str]) -> np.ndarray:
         raise CliError(
             EXIT_USAGE, f"cannot read {path}: byte {offset + exc.start} is not UTF-8: {exc.reason}"
         )
-    except MemoryError:
-        raise _out_of_memory(path, f"more than {len(values) // k}")
     if error is not None:
         raise error
     return np.frombuffer(values).reshape(-1, k)
@@ -559,10 +558,6 @@ def _joint_header(prefix: str, n: int) -> list[str]:
 _CLARKE = ["rho_re", "rho_im"]
 
 
-def _out_of_memory(name: str, rows: int | str) -> CliError:
-    return CliError(EXIT_USAGE, f"{name}: not enough memory for {rows} rows")
-
-
 def _map_rows(args: argparse.Namespace) -> int:
     """Map the rows of --input to --output by the headers and function args.plan picks.
 
@@ -570,11 +565,7 @@ def _map_rows(args: argparse.Namespace) -> int:
     """
     geometry = load_geometry(args.geometry)
     in_header, out_header, rows_fn, *repeats = args.plan(args, geometry)
-    table = _read_table(args.input, in_header)
-    try:
-        _write_table(args.output, out_header, table, rows_fn, *repeats)
-    except MemoryError:
-        raise _out_of_memory(args.command, len(table))
+    _write_table(args.output, out_header, _read_table(args.input, in_header), rows_fn, *repeats)
     return EXIT_OK
 
 
@@ -612,11 +603,8 @@ def _fk_plan(args: argparse.Namespace, geometry: RobotGeometry):
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     geometry = load_geometry(args.geometry)
-    try:
-        rows = joint_space.sample(geometry, args.phi_max, args.count, args.seed)
-        _write_table(args.output, _joint_header("rho", geometry.n), rows)
-    except MemoryError:
-        raise _out_of_memory("sample", args.count)
+    rows = joint_space.sample(geometry, args.phi_max, args.count, args.seed)
+    _write_table(args.output, _joint_header("rho", geometry.n), rows)
     return EXIT_OK
 
 
@@ -655,10 +643,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             inside += int(np.count_nonzero(flags))
         membership_failures = len(rows) - inside
 
-    try:
-        results = identities.run_identity_suite(geometry.d, geometry.l, args.n_max, tol)
-    except MemoryError:
-        raise CliError(EXIT_USAGE, f"check: not enough memory for the suite up to n={args.n_max}")
+    results = identities.run_identity_suite(geometry.d, geometry.l, args.n_max, tol)
     width = max(len(r.name) for r in results)
     print(f"{'identity':<{width}}  {'n':>3}  {'residual':>12}  {'tolerance':>10}  status")
     for r in results:
@@ -772,18 +757,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    command = "clarke-kin"
     try:
         try:
             args = _parser().parse_args(argv)
         except SystemExit as exc:  # argparse printed the help or a usage error
             code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         else:
+            command = args.command
             code = args.func(args)
         sys.stdout.flush()  # here, not at interpreter exit, where a failure would escape
         return code
     except (CliError, ValueError) as exc:  # a value the library refuses is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else EXIT_USAGE
+    except MemoryError as exc:  # an output being written has been removed by then
+        detail = f": {exc}" if str(exc) else ""  # numpy's text names the array it could not allocate
+        print(f"error: {command}: not enough memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
     except KeyboardInterrupt:  # an output being written has been removed by then
         print("error: interrupted", file=sys.stderr)
         return EXIT_USAGE

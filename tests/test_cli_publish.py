@@ -1,9 +1,11 @@
 """Row commands publish their output whole, or leave it as it was.
 
-Each command runs in a child process.  A failed run must exit 1-4 without a
-traceback, leave an output that existed before byte-identical and leave no
-temporary file behind; a run that succeeds replaces a regular output (the
-target of a symlink) and fills a FIFO in place.
+Each command runs in a child process, but for the one whose temporary file's
+name is patched.  A failed run must exit 1-4 without a traceback, leave an
+output that existed before byte-identical and leave no temporary file
+behind; a run that succeeds replaces a regular output (the target of a
+symlink) and fills a FIFO in place, and draws another temporary name when
+its first is taken.
 """
 
 import json
@@ -13,6 +15,7 @@ import signal
 import stat
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,6 +150,21 @@ def test_a_symlinked_output_keeps_the_link_and_replaces_its_target(tmp_path):
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_bytes() == expected
     assert (_listing(tmp_path), _listing(target.parent)) == listings
+
+
+def test_a_taken_temporary_name_is_left_alone_and_another_drawn(tmp_path):
+    output = tmp_path / "poses.csv"
+    argv = _fk_argv(tmp_path, _bent(5), output)
+    taken, drawn = b"\x00\x01\x02\x03", b"\xfe\xdc\xba\x98"
+    existing = tmp_path / f".poses.csv.{taken.hex()}.tmp"
+    existing.write_bytes(OLD)
+    listing = _listing(tmp_path)
+    with mock.patch.object(os, "urandom", side_effect=[taken, drawn]) as urandom:
+        assert cli.main(argv) == cli.EXIT_OK
+    assert urandom.call_count == 2
+    assert existing.read_bytes() == OLD
+    assert _listing(tmp_path) == sorted(listing + [output.name])
+    assert output.read_bytes() == _expected_poses(tmp_path, _bent(5))
 
 
 def test_a_fifo_output_is_filled_in_place(tmp_path):

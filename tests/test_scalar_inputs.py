@@ -270,7 +270,9 @@ def test_entries_that_are_not_real_numbers_raise_value_error_naming_the_input(en
         RobotGeometry(n=4, d=0.01, l=0.1, psi=[entry, 0.0, 0.0, 0.0])
 
 
-def test_a_whole_input_numpy_cannot_convert_raises_value_error_naming_it():
+def test_a_whole_input_that_is_not_real_numbers_raises_value_error_naming_it():
+    """A dict, which numpy cannot convert, and an array of numeric strings, which
+    numpy converts and float_array refuses itself."""
     for what, call in [
         ("joint displacements", lambda x: forward_transform(G4, x)),
         ("Clarke coordinates", lambda x: forward_kinematics(G4, x)),
@@ -282,7 +284,6 @@ def test_a_whole_input_numpy_cannot_convert_raises_value_error_naming_it():
             call({"a": 1})
         with pytest.raises(ValueError, match=re.escape(f"{what} must be real numbers, not <U1")):
             call(np.array(["1", "0", "0", "0"]))
-
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
