@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from clarke_kinematics import cli, identities, joint_space, legacy
+from test_cli_blocks import _csv
 from test_cli_bytes import CASES, RHO4
 
 OLD = b"old\n"
@@ -43,11 +44,6 @@ BOUNDARIES = {
                          (identities, "run_identity_suite")],
 }
 WRITES_NO_FILE = {"check", "check-membership"}
-
-
-def _csv(path, header, rows):
-    path.write_text("\n".join([",".join(header)] + [",".join(repr(v) for v in r) for r in rows]) + "\n")
-    return str(path)
 
 
 def _command(tmp_path, name, existing):
