@@ -674,13 +674,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that does not drop the OSError of a write to stdout (--help)."""
+    """An ArgumentParser that does not drop the OSError of a write to stdout (--help),
+    and drops that of a write to stderr on every Python (3.10 lets it through)."""
 
     def _print_message(self, message: str, file=None) -> None:
         if file is sys.stdout and message:
             file.write(message)
         else:
-            super()._print_message(message, file)
+            with contextlib.suppress(OSError):
+                super()._print_message(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -563,6 +563,29 @@ class TestEndToEnd:
                               timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"")
 
+    def test_a_usage_error_on_a_failing_stderr_exits_2_without_argparse_s_guard(self):
+        """Python 3.10's argparse writes its messages with no guard of its own; the
+        parser's guard keeps the exit at 2 there too."""
+        code = (
+            "import argparse, sys\n"
+            "from clarke_kinematics.cli import main\n"
+            "def unguarded(self, message, file=None):\n"
+            "    if message:\n"
+            "        (file or sys.stderr).write(message)\n"
+            "argparse.ArgumentParser._print_message = unguarded\n"
+            "class Failing:\n"
+            "    def write(self, text):\n"
+            "        raise OSError('stderr has gone')\n"
+            "    def flush(self):\n"
+            "        pass\n"
+            "sys.stderr = Failing()\n"
+            "sys.exit(main(['fk']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"")
+
     def test_non_utf8_files_exit_2_and_name_the_file(self, tmp_path, capsys):
         geom = write_geometry(tmp_path / "g.json")
         bad_geom = tmp_path / "bad.json"
