@@ -214,7 +214,7 @@ def _plain_rows(data: bytes, k: int) -> np.ndarray | None:
     whitespace reaches the parser, which reads a blank cell as 0.  The block,
     its line ends made commas and a sentinel cell 0 appended, is parsed as
     long doubles.  numpy stops at the first cell it cannot read whole (numpy
-    2 raises, numpy 1 returns what it read, a partial value included), so
+    2 raises, numpy 1 returns what it read, the value of a cut cell included), so
     None unless every cell and the sentinel come back as finite values.  The
     cast to a double differs from float()'s one rounding only where the long
     double lies exactly halfway between two doubles: such cells are read
@@ -298,12 +298,14 @@ def _write_table(path: str, header: list[str], rows: np.ndarray, rows_fn=None, r
 def _created_beside(target: str) -> tuple[int, str]:
     """A new file .<name>.<random>.tmp beside target, open for writing, and its path.
 
-    It is created as open creates a file, with mode 0o666 less the umask,
-    which the kernel applies, so the process umask is never read or set.
+    <name> is target's name cut to 32 characters, at most 128 bytes of UTF-8,
+    so the temporary name fits wherever target's does.  It is created as open
+    creates a file, with mode 0o666 less the umask, which the kernel applies,
+    so the process umask is never read or set.
     """
     head, tail = os.path.split(target)
     while True:
-        temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        temp = os.path.join(head, f".{tail[:32]}.{os.urandom(4).hex()}.tmp")
         try:
             return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
         except FileExistsError:  # the name is taken: draw another
@@ -319,11 +321,14 @@ def _published(path: str) -> Iterator[BinaryIO]:
     in place, and which any failure (KeyboardInterrupt included) removes.
     An existing output that is not a regular file (a FIFO, /dev/stdout) is
     never replaced: it is opened first, and filled from an unnamed temporary
-    file at the end.
+    file at the end.  A missing path that names a directory (out.csv/, out/.)
+    raises its stat's FileNotFoundError and creates nothing.
     """
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
+        if os.path.basename(path) in ("", ".", ".."):  # a directory: open would make no file
+            raise
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as fh, tempfile.TemporaryFile() as spool:
@@ -702,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between Clarke, legacy pairs, and lengths")
     p.add_argument("--geometry", required=True)
-    p.add_argument("--scheme", default=None, help="dian3|dellasantina4|allen3|allen4")
+    p.add_argument("--scheme", default=None, help="|".join(s.value for s in legacy.LegacyScheme))
     p.add_argument(
         "--from",
         dest="source",

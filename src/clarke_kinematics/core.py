@@ -33,7 +33,7 @@ PSI_TOLERANCE = 1e-12
 MAX_JOINTS = 1024
 _REAL = (int, float, np.integer, np.floating)
 # The rows of M_P, M_P^R and P each sum to at most 2 in absolute value, so no
-# partial sum of their product with a vector whose entries are all below this
+# running sum of their product with a vector whose entries are all below this
 # in magnitude overflows (nor, for P, the residual rho - P rho): the product
 # needs no guard against numpy's overflow warning.
 MATVEC_SAFE = 2.0**1022

@@ -1,7 +1,8 @@
 """Adapters between Clarke coordinates and earlier two-parameter schemes.
 
 Four published segment parameterizations are supported, each an exact linear
-image of the Clarke coordinates:
+image of the Clarke coordinates and each one row of the LegacyScheme table,
+which also holds the scheme's published formula of its pair from rho:
 
     dian3           n=3  (dx, dy)  = (rho_re, rho_im)
     dellasantina4   n=4  (dx, dy)  = (rho_re, rho_im)
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +40,8 @@ from .core import (
     scaled_rows,
 )
 
+_SQRT3 = math.sqrt(3.0)
+
 
 class SchemeMismatchError(ValueError):
     """Scheme applied to a geometry or pair it does not belong to."""
@@ -48,20 +50,27 @@ class SchemeMismatchError(ValueError):
 class LegacyScheme(enum.Enum):
     """Tag for one of the published two-parameter schemes."""
 
-    # The one per-scheme table: value, n, pair_names, and the k of the map in
-    # _pair_of, or None for (p1, p2) = (rho_re, rho_im).
-    DIAN3 = ("dian3", 3, ("delta_x", "delta_y"), None)
-    DELLA_SANTINA4 = ("dellasantina4", 4, ("delta_x", "delta_y"), None)
-    ALLEN3 = ("allen3", 3, ("u", "v"), 1.0)
-    ALLEN4 = ("allen4", 4, ("u", "v"), 2.0)
+    # The one per-scheme table: value, n, pair_names, the k of the map in
+    # _pair_of, or None for (p1, p2) = (rho_re, rho_im), and the published
+    # formula (rho, d) -> (p1, p2), where rho[i] is joint i+1's displacement,
+    # a float or a column.
+    DIAN3 = ("dian3", 3, ("delta_x", "delta_y"), None,
+             lambda rho, d: ((2.0 * rho[0] - rho[1] - rho[2]) / 3.0, (rho[1] - rho[2]) / _SQRT3))
+    DELLA_SANTINA4 = ("dellasantina4", 4, ("delta_x", "delta_y"), None,
+                      lambda rho, d: ((rho[0] - rho[2]) / 2.0, (rho[1] - rho[3]) / 2.0))
+    ALLEN3 = ("allen3", 3, ("u", "v"), 1.0,
+              lambda rho, d: ((rho[2] - rho[1]) / (_SQRT3 * d),
+                              (2.0 * rho[0] - rho[1] - rho[2]) / (3.0 * d)))
+    ALLEN4 = ("allen4", 4, ("u", "v"), 2.0,
+              lambda rho, d: ((rho[3] - rho[1]) / d, (rho[0] - rho[2]) / d))
 
     n: int  # joint count the scheme was published for
     pair_names: tuple[str, str]  # column/field names of the scheme's two parameters
 
-    def __new__(cls, value: str, n: int, pair_names: tuple[str, str], k: float | None):
+    def __new__(cls, value: str, n: int, pair_names: tuple[str, str], k: float | None, published):
         member = object.__new__(cls)
         member._value_ = value
-        member.n, member.pair_names, member._k = n, pair_names, k
+        member.n, member.pair_names, member._k, member._published = n, pair_names, k, published
         member._label = f"{value} parameters"  # what as_pair names, built once
         member._power = 0 if k is None else -1  # of d in the pair: the Allen schemes' gain k/d
         return member
@@ -170,26 +179,11 @@ def legacy_from_displacements(
     """
     _check_scheme(scheme, geometry)
     values = as_vector(rho, geometry.n, "joint displacements").tolist()
-    p1, p2 = scaled_form(partial(_pair_from_displacements, scheme), values, geometry.d,
-                         scheme._power)
+    p1, p2 = scaled_form(scheme._published, values, geometry.d, scheme._power)
     if not (math.isfinite(p1) and math.isfinite(p2)):  # every entry of rho is in the pair
         raise ValueError(f"joint displacements {values} give non-finite "
                          f"{scheme.value} parameters ({p1}, {p2})")
     return LegacyPair(scheme, p1, p2)
-
-
-def _pair_from_displacements(scheme: LegacyScheme, rho, d: float):
-    """The published formulas; rho[i] is joint i+1's displacement, a float or a column."""
-    if scheme is LegacyScheme.DIAN3:
-        dx = (2.0 * rho[0] - rho[1] - rho[2]) / 3.0
-        dy = (rho[1] - rho[2]) / math.sqrt(3.0)
-        return dx, dy
-    if scheme is LegacyScheme.DELLA_SANTINA4:
-        return (rho[0] - rho[2]) / 2.0, (rho[1] - rho[3]) / 2.0
-    if scheme is LegacyScheme.ALLEN3:
-        return ((rho[2] - rho[1]) / (math.sqrt(3.0) * d),
-                (2.0 * rho[0] - rho[1] - rho[2]) / (3.0 * d))
-    return (rho[3] - rho[1]) / d, (rho[0] - rho[2]) / d
 
 
 def legacy_from_lengths(
@@ -228,7 +222,7 @@ def legacy_from_lengths_rows(
     """(p1, p2) rows of length rows; bitwise equal to the scalar form legacy_from_lengths."""
     _check_scheme(scheme, geometry)
     rho = geometry.l - as_rows(length_rows, geometry.n)
-    return scaled_rows(partial(_pair_from_displacements, scheme), rho.T, geometry.d, scheme._power)
+    return scaled_rows(scheme._published, rho.T, geometry.d, scheme._power)
 
 
 def clarke_from_lengths_rows(geometry: RobotGeometry, length_rows) -> np.ndarray:

@@ -266,6 +266,11 @@ class TestConvert:
         assert main(["convert", "--geometry", geom, "--from", "clarke",
                      "--input", inp, "--output", str(tmp_path / "o.csv")]) == 2
 
+    def test_help_lists_every_scheme(self, capsys):
+        assert main(["convert", "--help"]) == 0
+        words = capsys.readouterr().out.replace("|", " ").split()
+        assert all(scheme.value in words for scheme in LegacyScheme)
+
 
 class TestFk:
     def test_straight_row(self, tmp_path):

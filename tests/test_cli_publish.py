@@ -5,7 +5,8 @@ name is patched.  A failed run must exit 1-4 without a traceback, leave an
 output that existed before byte-identical and leave no temporary file
 behind; a run that succeeds replaces a regular output (the target of a
 symlink) and fills a FIFO in place, and draws another temporary name when
-its first is taken.
+its first is taken.  An output name of up to 255 bytes is published, and a
+missing output named as a directory is refused before anything is created.
 """
 
 import json
@@ -40,6 +41,13 @@ def _fk_argv(tmp_path, rows, output, strategy="analytic-branch"):
     cli._write_table(str(clarke), ["rho_re", "rho_im"], np.asarray(rows, dtype=float))
     return ["fk", "--geometry", str(geometry), "--input", str(clarke), "--strategy", strategy,
             "--output", str(output)]
+
+
+def _sample_argv(tmp_path, output):
+    geometry = tmp_path / "g.json"
+    geometry.write_text(json.dumps({"n": 4, "d": 0.01, "l": 0.1}))
+    return ["sample", "--geometry", str(geometry), "--phi-max", "3", "--count", "50",
+            "--seed", "3", "--output", str(output)]
 
 
 def _bent(rows):
@@ -165,6 +173,34 @@ def test_a_taken_temporary_name_is_left_alone_and_another_drawn(tmp_path):
     assert existing.read_bytes() == OLD
     assert _listing(tmp_path) == sorted(listing + [output.name])
     assert output.read_bytes() == _expected_poses(tmp_path, _bent(5))
+
+
+@pytest.mark.parametrize("name", ["a" * 246 + ".csv", "\u00e9" * 123 + ".csv"], ids=["ascii", "utf8"])
+def test_an_output_name_of_250_bytes_is_published_as_a_short_one_is(tmp_path, name):
+    """The temporary name, .<name>.<random>.tmp, would be 264 bytes were the name not cut."""
+    assert len(name.encode()) == 250
+    short, long = tmp_path / "short" / "rho.csv", tmp_path / "long" / name
+    for output in (short, long):
+        output.parent.mkdir()
+        proc = _run(_sample_argv(tmp_path, output))
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
+    assert long.read_bytes() == short.read_bytes()
+    assert _listing(long.parent) == [name]
+
+
+@pytest.mark.parametrize("name", ["o7.csv/", "link.csv/", "o7.csv/."])
+@pytest.mark.parametrize("command", ["fk", "sample"])
+def test_a_missing_output_named_as_a_directory_exits_2_and_creates_nothing(tmp_path, command, name):
+    """open(name, "wb") would make no file: the dangling link's target is not written either."""
+    (tmp_path / "link.csv").symlink_to("target.csv")
+    output = os.path.join(tmp_path, name)
+    argv = _fk_argv(tmp_path, _bent(5), output) if command == "fk" else _sample_argv(tmp_path, output)
+    listing = _listing(tmp_path)
+    proc = _run(argv)
+    err = proc.stderr.decode()
+    assert proc.returncode == cli.EXIT_USAGE, err
+    assert err.startswith(f"error: cannot write {output}: ") and err.count("\n") == 1, err
+    assert _listing(tmp_path) == listing
 
 
 def test_a_fifo_output_is_filled_in_place(tmp_path):

@@ -38,15 +38,13 @@ def test_a_wrong_clarke_route_fails_exactly_the_scheme_identities(monkeypatch):
 
 @pytest.mark.parametrize("scheme", list(legacy.LegacyScheme), ids=lambda s: s.value)
 def test_a_wrong_published_pair_fails_only_its_scheme(monkeypatch, scheme):
-    published = legacy._pair_from_displacements
+    published = scheme._published
 
-    def scaled(which, rho, d):
-        p1, p2 = published(which, rho, d)
-        if which is scheme:
-            return p1 * (1 + 1e-9), p2 * (1 + 1e-9)
-        return p1, p2
+    def scaled(rho, d):
+        p1, p2 = published(rho, d)
+        return p1 * (1 + 1e-9), p2 * (1 + 1e-9)
 
-    monkeypatch.setattr(legacy, "_pair_from_displacements", scaled)
+    monkeypatch.setattr(scheme, "_published", scaled)
     results = run_identity_suite(d=0.01, l=0.1, n_max=4)
     assert _failed(results) == [f"scheme_equivalence_{scheme.value}"]
 
